@@ -8,8 +8,6 @@ from .motive import (
     count_points,
     expand_falling,
     expand_falling_stirling,
-    is_effective_torus_class,
-    poincare_poly,
     proj_class,
 )
 from .genseries import (

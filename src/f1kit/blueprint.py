@@ -267,11 +267,21 @@ def plucker_relations(n):
     """
     if not isinstance(n, int) or n < 4:
         raise ValueError("n must be an int >= 4")
+    splits = [(idx, sum(1 << m for m in idx.members)) for idx in index_set(n)]
     out = []
     for i, j, k, l in combinations(range(1, n + 1), 4):
-        left = [separation_monomial(n, (i, j), (k, l)), separation_monomial(n, (i, l), (j, k))]
-        right = [separation_monomial(n, (i, k), (j, l))]
-        out.append(BlueprintRel(left, right))
+        bi, bj, bk, bl = 1 << i, 1 << j, 1 << k, 1 << l
+        quad = bi | bj | bk | bl
+        # a split separates a pattern iff it holds one of the pattern's pairs
+        # on its own side: 0 = (ij|kl), 1 = (il|jk), 2 = (ik|jl)
+        pattern = {bi | bj: 0, bk | bl: 0, bi | bl: 1, bj | bk: 1, bi | bk: 2, bj | bl: 2}
+        sides = ([], [], [])
+        for idx, mask in splits:
+            p = pattern.get(mask & quad)
+            if p is not None:
+                sides[p].append((idx, 1))
+        ij_kl, il_jk, ik_jl = (Monomial(n, s) for s in sides)
+        out.append(BlueprintRel([ij_kl, il_jk], [ik_jl]))
     return out
 
 

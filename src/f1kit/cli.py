@@ -3,7 +3,8 @@
 Every command is a thin wrapper over the library, and identical invocations
 produce byte-identical output: JSON keys are sorted, integers are emitted as
 decimal strings in JSON, and lines end with LF.  Exit codes: 0 success,
-2 usage error, 3 range error, 4 internal invariant violation.
+2 usage error, 3 range error, 4 internal invariant violation or a cache
+file that cannot be loaded.
 
 If F1KIT_CACHE_DIR is set, the recursion memo tables are loaded from and
 saved to that directory; otherwise everything stays in memory.
@@ -256,9 +257,14 @@ def run(argv=None, stdout=None):
     except SystemExit as exc:
         return exc.code if exc.code is not None else EXIT_USAGE
     cache_dir = os.environ.get("F1KIT_CACHE_DIR")
-    try:
-        if cache_dir:
+    if cache_dir:
+        try:
             genseries.load_caches(cache_dir)
+        except Exception as exc:  # a damaged cache file is never a range error
+            path = os.path.join(cache_dir, genseries.CACHE_FILE)
+            print("cache error: cannot load %s: %s" % (path, exc), file=sys.stderr)
+            return EXIT_INTERNAL
+    try:
         doc = _BUILDERS[args.command](args)
         payload = emit(doc, getattr(args, "format", "text"))
         if cache_dir:

@@ -241,7 +241,7 @@ def m0_open_class(n, normalized_points=3):
 
 # -- cache persistence -------------------------------------------------
 
-_CACHE_FILE = "f1kit_cache.json"
+CACHE_FILE = "f1kit_cache.json"
 
 
 def clear_caches():
@@ -257,7 +257,7 @@ def save_caches(directory):
         "tdn": {"%d,%d" % (d, n): v.to_json() for (d, n), v in sorted(_TDN_CACHE.items())},
     }
     os.makedirs(directory, exist_ok=True)
-    path = os.path.join(directory, _CACHE_FILE)
+    path = os.path.join(directory, CACHE_FILE)
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, sort_keys=True, indent=2)
         fh.write("\n")
@@ -270,7 +270,7 @@ def load_caches(directory):
     Entries are value-identical to recomputation for any honestly produced
     file, so merging never changes results.
     """
-    path = os.path.join(directory, _CACHE_FILE)
+    path = os.path.join(directory, CACHE_FILE)
     if not os.path.exists(path):
         return False
     with open(path, encoding="utf-8") as fh:

@@ -240,16 +240,8 @@ def change_basis(a, basis):
     return a.in_basis(basis)
 
 
-def is_effective_torus_class(a):
-    return a.is_effective()
-
-
 def count_points(a, m):
     return a.count_points(m)
-
-
-def poincare_poly(a):
-    return a.poincare()
 
 
 def format_poly(coeffs, symbol):

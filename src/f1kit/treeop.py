@@ -16,9 +16,9 @@ be shared freely.
 """
 
 import json
-from collections import Counter
 from functools import lru_cache
 from itertools import combinations, product
+from math import comb
 
 from .motive import MotClass, blowup_class, proj_class
 from .genseries import stratum_factor_class
@@ -483,8 +483,14 @@ class StratumDescriptor:
     def stratum_class(self):
         out = MotClass.one()
         for v in self.tree.vertices:
-            out = out * stratum_factor_class(self.d, self.tree.in_degree(v))
+            out = out * _stratum_factor(self.d, self.tree.in_degree(v))
         return out
+
+
+@lru_cache(maxsize=None)
+def _stratum_factor(d, k):
+    # stratum_factor_class is pure, so its values are shared per (d, k)
+    return stratum_factor_class(d, k)
 
 
 # -- enumeration and the strata decomposition --------------------------------
@@ -530,38 +536,41 @@ def enumerate_stable_trees(n):
     return [RootedTree.from_nested(form) for form in _stable_forms(tuple(range(1, n + 1)))]
 
 
-def _in_degrees(form):
-    inputs, subs = form
-    degrees = [len(inputs) + len(subs)]
-    for sub in subs:
-        degrees.extend(_in_degrees(sub))
-    return degrees
-
-
 def strata_sum(d, n):
     """Total class of the stratification by stable trees.
 
-    Sums, over every stable tree with n inputs, the product over vertices of
-    the stratum factor for the vertex's in-degree.  Equals tdn_class(d, n):
-    the strata partition the compactified space.
+    The sum, over every stable tree with n inputs, of the product over
+    vertices of w_k = stratum_factor_class(d, k) for the vertex's in-degree
+    k.  Weighted stable trees satisfy the species equation
+
+        F = X + sum_{k>=2} w_k F^k / k!,
+
+    so with F = sum_m a_m X^m / m! the coefficients are a_1 = 1 and
+    a_m = sum_{k=2..m} w_k B_{m,k}, where the partial Bell polynomials obey
+    B_{m,k} = sum_i C(m-1, i-1) a_i B_{m-i,k-1}, B_{0,0} = 1, B_{m,1} = a_m.
+    No tree is listed; strata_table and the strata command still enumerate
+    them.  Equals tdn_class(d, n): the strata partition the compactified
+    space.
     """
     if not isinstance(d, int) or d < 1:
         raise ValueError("d must be a positive int")
     if not isinstance(n, int) or n < 2:
         raise ValueError("n must be an int >= 2")
-    profiles = Counter(
-        tuple(sorted(_in_degrees(form))) for form in _stable_forms(tuple(range(1, n + 1)))
-    )
-    factors = {}
-    total = MotClass.zero()
-    for profile, count in sorted(profiles.items()):
-        cls = MotClass.one()
-        for k in profile:
-            if k not in factors:
-                factors[k] = stratum_factor_class(d, k)
-            cls = cls * factors[k]
-        total = total + count * cls
-    return total
+    a = [MotClass.zero(), MotClass.one()]
+    bell = [[MotClass.one()], [MotClass.zero(), MotClass.one()]]  # bell[m][k] = B_{m,k}
+    for m in range(2, n + 1):
+        row = [MotClass.zero(), None]
+        a_m = MotClass.zero()
+        for k in range(2, m + 1):
+            b_mk = MotClass.zero()
+            for i in range(1, m - k + 2):
+                b_mk = b_mk + comb(m - 1, i - 1) * a[i] * bell[m - i][k - 1]
+            row.append(b_mk)
+            a_m = a_m + _stratum_factor(d, k) * b_mk
+        row[1] = a_m
+        a.append(a_m)
+        bell.append(row)
+    return a[n]
 
 
 def strata_table(d, n):

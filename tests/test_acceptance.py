@@ -9,6 +9,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from itertools import permutations, product
 from math import comb, factorial
 
@@ -35,9 +36,10 @@ from f1kit.genseries import (
     mbar0_class,
     open_stratum_class,
     solve_tdn_ode,
+    stratum_factor_class,
     tdn_class,
 )
-from f1kit.motive import blowup_class, proj_class
+from f1kit.motive import MotClass, blowup_class, proj_class
 from f1kit.torif import (
     ConstructibleTorification,
     Torus,
@@ -49,6 +51,7 @@ from f1kit.torif import (
 )
 from f1kit.treeop import (
     RootedTree,
+    _stable_forms,
     compose,
     enumerate_stable_trees,
     forget_marking,
@@ -109,11 +112,38 @@ def check_positivity_negativity():
             assert not open_stratum_class(d, n).is_effective(), "open d=%d n=%d" % (d, n)
 
 
+def _in_degrees(form):
+    inputs, subs = form
+    degrees = [len(inputs) + len(subs)]
+    for sub in subs:
+        degrees.extend(_in_degrees(sub))
+    return degrees
+
+
+def enumerated_strata_sum(d, n):
+    """Strata total by listing every stable tree, grouped by in-degree profile."""
+    profiles = Counter(
+        tuple(sorted(_in_degrees(form))) for form in _stable_forms(tuple(range(1, n + 1)))
+    )
+    total = MotClass.zero()
+    for profile, count in profiles.items():
+        cls = MotClass.one()
+        for k in profile:
+            cls = cls * stratum_factor_class(d, k)
+        total = total + count * cls
+    return total
+
+
 @criterion(6, "master strata oracle: tree stratification sums to the class")
 def check_strata_oracle():
     for d in (1, 2):
         for n in range(2, 8):
-            assert strata_sum(d, n) == tdn_class(d, n), "mismatch at d=%d n=%d" % (d, n)
+            listed = enumerated_strata_sum(d, n)
+            assert listed == strata_sum(d, n) == tdn_class(d, n), "mismatch at d=%d n=%d" % (d, n)
+    for d in (1, 2, 3):
+        for n in range(2, 26):
+            assert strata_sum(d, n) == tdn_class(d, n), "species mismatch at d=%d n=%d" % (d, n)
+    assert strata_sum(1, 9) == tdn_class(1, 9)
     trees = enumerate_stable_trees(4)
     assert len(trees) == 26
     sizes = [len(t.vertices) for t in trees]

@@ -1,5 +1,5 @@
 import random
-from itertools import permutations
+from itertools import combinations, permutations
 from math import comb, factorial
 
 import pytest
@@ -125,6 +125,20 @@ class TestPluckerRelations:
         m1 = separation_monomial(5, (2, 3), (4, 5))
         m2 = separation_monomial(5, (4, 5), (2, 3))
         assert m1 == m2
+
+    @pytest.mark.parametrize("n", range(4, 9))
+    def test_matches_separation_oracle(self, n):
+        # the one-pass build against one separation_monomial per pattern
+        want = [
+            BlueprintRel(
+                [separation_monomial(n, (i, j), (k, l)), separation_monomial(n, (i, l), (j, k))],
+                [separation_monomial(n, (i, k), (j, l))],
+            )
+            for i, j, k, l in combinations(range(1, n + 1), 4)
+        ]
+        got = plucker_relations(n)
+        assert got == want
+        assert [str(r) for r in got] == [str(r) for r in want]
 
 
 class TestLocalization:

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from f1kit.cli import EXIT_OK, EXIT_RANGE, EXIT_USAGE, emit, run
+from f1kit.cli import EXIT_INTERNAL, EXIT_OK, EXIT_RANGE, EXIT_USAGE, emit, run
 
 
 def invoke(*argv):
@@ -152,3 +152,18 @@ class TestCacheDir:
         assert doc["mbar0"]["6"] == {"basis": "T", "coeffs": ["34", "51", "19", "1"]}
         second = subprocess.run(cmd, capture_output=True, env=env)
         assert second.stdout == first.stdout
+
+    @pytest.mark.parametrize(
+        "content", ['{"mbar0": {"5": {"basis": "T", "coe', '["not", "a", "table"]']
+    )
+    def test_damaged_cache_file_is_not_a_range_error(self, tmp_path, content):
+        cache_file = tmp_path / "f1kit_cache.json"
+        cache_file.write_text(content)
+        env = dict(os.environ)
+        env["F1KIT_CACHE_DIR"] = str(tmp_path)
+        cmd = [sys.executable, "-m", "f1kit", "classes", "--space", "mbar0", "--n", "6"]
+        proc = subprocess.run(cmd, capture_output=True, env=env)
+        assert proc.returncode == EXIT_INTERNAL
+        assert proc.stdout == b""
+        assert str(cache_file).encode() in proc.stderr
+        assert b"Traceback" not in proc.stderr

@@ -336,6 +336,13 @@ class TestStrataSum:
             total = total + stratum.stratum_class()
         assert total == strata_sum(1, 4)
 
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_table_matches_sum_n5(self, d):
+        total = MotClass.zero()
+        for stratum in strata_table(d, 5):
+            total = total + stratum.stratum_class()
+        assert total == strata_sum(d, 5)
+
     def test_descriptor_requires_stable(self):
         with pytest.raises(ValueError):
             StratumDescriptor(RootedTree.unit(), 1)
