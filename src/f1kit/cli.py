@@ -3,8 +3,9 @@
 Every command is a thin wrapper over the library, and identical invocations
 produce byte-identical output: JSON keys are sorted, integers are emitted as
 decimal strings in JSON, and lines end with LF.  Exit codes: 0 success,
-2 usage error, 3 range error, 4 internal invariant violation or a cache
-file that cannot be loaded.
+2 usage error, 3 range error, 4 internal invariant violation, a cache file
+that cannot be loaded or fails its spot check (nothing is printed), or a
+cache file that cannot be saved (the answer is printed first).
 
 If F1KIT_CACHE_DIR is set, the recursion memo tables are loaded from and
 saved to that directory; otherwise everything stays in memory.
@@ -267,8 +268,6 @@ def run(argv=None, stdout=None):
     try:
         doc = _BUILDERS[args.command](args)
         payload = emit(doc, getattr(args, "format", "text"))
-        if cache_dir:
-            genseries.save_caches(cache_dir)
     except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_RANGE
@@ -277,6 +276,13 @@ def run(argv=None, stdout=None):
         return EXIT_INTERNAL
     stdout.write(payload)
     stdout.flush()
+    if cache_dir:
+        try:
+            genseries.save_caches(cache_dir)
+        except OSError as exc:  # the answer is already out
+            path = os.path.join(cache_dir, genseries.CACHE_FILE)
+            print("cache error: cannot save %s: %s" % (path, exc), file=sys.stderr)
+            return EXIT_INTERNAL
     return EXIT_OK
 
 

@@ -1,9 +1,12 @@
 """Generating-series and recursion engines for the moduli-space classes.
 
-Two independent computation paths are provided and cross-checked by the
-test suite: a coefficient-extraction solver for the defining differential
-equation of the exponential generating series, and the direct product
-recursions for the class families ``mbar0_class`` / ``tdn_class``.
+The class recursions ``mbar0_class`` / ``tdn_class`` and the point counts
+``solve_point_count_ode`` share one integer kernel: the tdn recursion with T
+evaluated at an integer, its convolution folded in half.  Point counts are
+its values at T = m; classes are read off its values at T = 2^w.  The
+coefficient-extraction solver ``solve_tdn_ode`` for the defining
+differential equation runs over MotClass and is the independent oracle the
+test suite checks the kernel against.
 
 Series convention.  The solved series is psi(t) = sum_{n>=1} b_n t^n / n!
 with b_1 = 1.  For the d-parameter family, b_n is the class of the space of
@@ -95,13 +98,52 @@ def solve_tdn_ode(d, order):
     return EGFSeries(b)
 
 
+def _tdn_values(d, order, t):
+    """b_1..b_order of the tdn recursion (see tdn_class) at the integer T = t.
+
+    The sum is folded by its symmetry i <-> n+1-i, as C(n,i) + C(n,i-1) =
+    C(n+1,i): sum_{i=2}^{floor(n/2)} C(n+1,i) b_i b_{n+1-i}, plus C(n,h) b_h^2
+    with h = (n+1)/2 for odd n.  That halves the big multiplications.
+    """
+    lef = t + 1
+    p_lo, p_mid, p_hi = (sum(lef**k for k in range(j + 1)) for j in (d - 2, d - 1, d))
+    lin, hyper = lef * p_lo, lef * p_mid
+    b = [0, 1, p_mid]  # b[0] pads the 1-based indexing
+    for n in range(2, order):
+        total = sum(comb(n + 1, i) * b[i] * b[n + 1 - i] for i in range(2, n // 2 + 1))
+        if n % 2:
+            total += comb(n, n // 2 + 1) * b[n // 2 + 1] ** 2
+        b.append((p_hi + n * lin) * b[n] + hyper * total)
+    return b[1 : order + 1]
+
+
+def _unpack(value, width, total):
+    """Base-2^(8*width) digits of value, ascending; a carry makes their sum < total."""
+    raw = value.to_bytes((value.bit_length() + 7) // 8, "little")
+    digits = [int.from_bytes(raw[i : i + width], "little") for i in range(0, len(raw), width)]
+    if sum(digits) != total:
+        raise AssertionError("slot width of %d bytes is too small: coefficients carried" % width)
+    return digits
+
+
+def _tdn_classes(d, n):
+    """[tdn_class(d, 1), ..., tdn_class(d, n)], read off the kernel at T = 2^w."""
+    sums = _tdn_values(d, n, 1)
+    width = (max(sums).bit_length() + 7) // 8
+    packed = _tdn_values(d, n, 1 << 8 * width)
+    return [MotClass(_unpack(v, width, s)) for v, s in zip(packed, sums)]
+
+
 def solve_point_count_ode(d, m, order):
     """Integer analogue of solve_tdn_ode with L replaced by m + 1.
 
     Returns [p_1, ..., p_order], the point counts over the degree-m
     extension, from the specialized differential equation
     (1 + (m+1)^d t - (m+1) kappa eta) eta' = 1 + eta where
-    kappa = 1 + (m+1) + ... + (m+1)^(d-1).
+    kappa = 1 + (m+1) + ... + (m+1)^(d-1).  Its extraction step is the tdn
+    recursion at T = m (the i = 1 and i = n convolution terms give
+    (n+1) L [P^(d-1)] p_n, and 1 - n L^d + (n+1) L [P^(d-1)] equals
+    [P^d] + n L [P^(d-2)]), so this runs the folded kernel at t = m.
     """
     if not isinstance(d, int) or d < 1:
         raise ValueError("d must be a positive int")
@@ -109,42 +151,27 @@ def solve_point_count_ode(d, m, order):
         raise ValueError("m must be a nonnegative int")
     if not isinstance(order, int) or order < 1:
         raise ValueError("order must be >= 1")
-    q = m + 1
-    qd = q**d
-    kappa = sum(q**i for i in range(d))
-    b = [1]
-    for n in range(1, order):
-        total = sum(comb(n, i) * b[i - 1] * b[n - i] for i in range(1, n + 1))
-        b.append(b[n - 1] - n * qd * b[n - 1] + q * kappa * total)
-    return b
+    return _tdn_values(d, order, m)
 
 
 _MBAR0_CACHE = {2: MotClass.one(), 3: MotClass.one()}
 
-_TDN_CACHE = {}  # (d, n) -> class; bases (d,1) and (d,2) seeded on first use
+_TDN_CACHE = {}  # (d, n) -> class
 
 
 def mbar0_class(n):
     """Class of the compactified moduli space of n-pointed genus-zero curves.
 
     Recursion: c_{n+2} = c_{n+1} + L sum_{i+j=n+1, i>=2} C(n,i) c_{i+1} c_{j+1}
-    with c_2 = c_3 = 1.  Results are memoized.
+    with c_2 = c_3 = 1: the d = 1 case of tdn_class shifted by one,
+    mbar0_class(n) = tdn_class(1, n - 1), computed by the same folded kernel
+    and T = 2^w read-off.  A miss fills c_2..c_n at once.
     """
     if not isinstance(n, int) or n < 2:
         raise ValueError("n must be an int >= 2")
-    if n in _MBAR0_CACHE:
-        return _MBAR0_CACHE[n]
-    lef = MotClass.lefschetz()
-    top = 3
-    while top + 1 in _MBAR0_CACHE:  # loaded caches may be sparse
-        top += 1
-    for k in range(top - 1, n - 1):
-        # compute c_{k+2} from c_2..c_{k+1}
-        total = MotClass.zero()
-        for i in range(2, k + 1):
-            j = k + 1 - i
-            total = total + comb(k, i) * _MBAR0_CACHE[i + 1] * _MBAR0_CACHE[j + 1]
-        _MBAR0_CACHE[k + 2] = _MBAR0_CACHE[k + 1] + lef * total
+    if n not in _MBAR0_CACHE:
+        for k, value in enumerate(_tdn_classes(1, n - 1), start=2):
+            _MBAR0_CACHE[k] = value
     return _MBAR0_CACHE[n]
 
 
@@ -159,29 +186,22 @@ def tdn_class(d, n):
     with t_1 = 1 and t_2 = [P^(d-1)].  The relation only holds from n = 2,
     so t_2 is seeded from the first extraction step of the series equation;
     the sum factor is [P^(d-1)], which is what both the series equation and
-    the d = 1 oracle require.  Results are memoized per (d, n).
+    the d = 1 oracle require.
+
+    The recursion runs on integers, its sum folded in half (_tdn_values).
+    Every [P^k] has nonnegative T-coefficients and the recursion only adds
+    and multiplies, so each coefficient of t_k lies in [0, t_k(1)].  A run
+    at T = 1 bounds them all; a run at T = 2^w, with w a whole number of
+    bytes above that bound, puts each coefficient in its own w-bit slot, and
+    a digit-sum check guards the read-off.  A miss fills (d, 1)..(d, n).
     """
     if not isinstance(d, int) or d < 1:
         raise ValueError("d must be a positive int")
     if not isinstance(n, int) or n < 1:
         raise ValueError("n must be a positive int")
-    if (d, n) in _TDN_CACHE:
-        return _TDN_CACHE[(d, n)]
-    _TDN_CACHE.setdefault((d, 1), MotClass.one())
-    _TDN_CACHE.setdefault((d, 2), proj_class(d - 1))
-    lef = MotClass.lefschetz()
-    head_fixed = proj_class(d)
-    head_lin = lef * proj_class(d - 2)
-    hyper = lef * proj_class(d - 1)
-    top = 2
-    while (d, top + 1) in _TDN_CACHE:  # loaded caches may be sparse
-        top += 1
-    for k in range(top, n):
-        total = MotClass.zero()
-        for i in range(2, k):
-            j = k + 1 - i
-            total = total + comb(k, i) * _TDN_CACHE[(d, i)] * _TDN_CACHE[(d, j)]
-        _TDN_CACHE[(d, k + 1)] = (head_fixed + k * head_lin) * _TDN_CACHE[(d, k)] + hyper * total
+    if (d, n) not in _TDN_CACHE:
+        for k, value in enumerate(_tdn_classes(d, n), start=1):
+            _TDN_CACHE[(d, k)] = value
     return _TDN_CACHE[(d, n)]
 
 
@@ -267,17 +287,34 @@ def save_caches(directory):
 def load_caches(directory):
     """Merge previously saved memo tables; missing file is not an error.
 
-    Entries are value-identical to recomputation for any honestly produced
-    file, so merging never changes results.
+    Before anything is merged, every entry is spot-checked against the
+    kernel at T = 2 (an mbar0 key n is checked as tdn (1, n - 1)).  Editing
+    any single coefficient moves that value by a nonzero multiple of a power
+    of 2, so it is caught; a crafted edit of several coefficients that keeps
+    the value is not.  On a mismatch a ValueError names the entry and
+    nothing is merged.
     """
     path = os.path.join(directory, CACHE_FILE)
     if not os.path.exists(path):
         return False
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
-    for key, obj in doc.get("mbar0", {}).items():
-        _MBAR0_CACHE[int(key)] = MotClass.from_json(obj)
+    mbar0 = {int(n): MotClass.from_json(obj) for n, obj in doc.get("mbar0", {}).items()}
+    tdn = {}
     for key, obj in doc.get("tdn", {}).items():
         d, n = key.split(",")
-        _TDN_CACHE[(int(d), int(n))] = MotClass.from_json(obj)
+        tdn[(int(d), int(n))] = MotClass.from_json(obj)
+    checks = [("mbar0 %d" % n, (1, n - 1), v) for n, v in mbar0.items()]
+    checks += [("tdn %d,%d" % key, key, v) for key, v in tdn.items()]
+    top = {}
+    for name, (d, n), _ in checks:
+        if d < 1 or n < 1:
+            raise ValueError("cache entry %s is out of range" % name)
+        top[d] = max(top.get(d, 0), n)
+    at_two = {d: _tdn_values(d, n, 2) for d, n in top.items()}
+    for name, (d, n), value in checks:
+        if value.count_points(2) != at_two[d][n - 1]:
+            raise ValueError("cache entry %s does not match the recursion" % name)
+    _MBAR0_CACHE.update(mbar0)
+    _TDN_CACHE.update(tdn)
     return True

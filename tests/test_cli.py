@@ -167,3 +167,31 @@ class TestCacheDir:
         assert proc.stdout == b""
         assert str(cache_file).encode() in proc.stderr
         assert b"Traceback" not in proc.stderr
+
+    def test_unsavable_cache_keeps_the_answer(self, tmp_path):
+        not_a_dir = tmp_path / "plain-file"
+        not_a_dir.write_text("")
+        env = dict(os.environ)
+        env["F1KIT_CACHE_DIR"] = str(not_a_dir)
+        cmd = [sys.executable, "-m", "f1kit", "classes", "--space", "mbar0", "--n", "6"]
+        proc = subprocess.run(cmd, capture_output=True, env=env)
+        assert proc.returncode == EXIT_INTERNAL
+        assert proc.stdout == b"T^3+19T^2+51T+34\n"
+        assert b"cache error: cannot save " + str(not_a_dir / "f1kit_cache.json").encode() in proc.stderr
+        assert b"Traceback" not in proc.stderr
+
+    def test_edited_cache_entry_is_refused(self, tmp_path):
+        env = dict(os.environ)
+        env["F1KIT_CACHE_DIR"] = str(tmp_path)
+        cmd = [sys.executable, "-m", "f1kit", "classes", "--space", "mbar0", "--n", "6"]
+        assert subprocess.run(cmd, capture_output=True, env=env).returncode == EXIT_OK
+        cache_file = tmp_path / "f1kit_cache.json"
+        text = cache_file.read_text()
+        assert text.count('"34"') == 1
+        cache_file.write_text(text.replace('"34"', '"35"'))
+        proc = subprocess.run(cmd, capture_output=True, env=env)
+        assert proc.returncode == EXIT_INTERNAL
+        assert proc.stdout == b""
+        assert b"cache error: cannot load " + str(cache_file).encode() in proc.stderr
+        assert b"mbar0 6" in proc.stderr
+        assert b"Traceback" not in proc.stderr

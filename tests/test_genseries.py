@@ -1,5 +1,8 @@
+import json
+
 import pytest
 
+from f1kit import genseries
 from f1kit.genseries import (
     EGFSeries,
     clear_caches,
@@ -202,3 +205,70 @@ class TestCachePersistence:
 
     def test_missing_dir_is_quiet(self, tmp_path):
         assert not load_caches(str(tmp_path / "nothing"))
+
+    def test_edited_entry_is_refused_and_nothing_merged(self, tmp_path):
+        clear_caches()
+        tdn_class(2, 6)
+        mbar0_class(7)
+        save_caches(str(tmp_path))
+        path = tmp_path / "f1kit_cache.json"
+        doc = json.loads(path.read_text())
+        doc["tdn"]["2,5"]["coeffs"][3] = str(int(doc["tdn"]["2,5"]["coeffs"][3]) + 1)
+        path.write_text(json.dumps(doc))
+        clear_caches()
+        with pytest.raises(ValueError, match="tdn 2,5"):
+            load_caches(str(tmp_path))
+        assert genseries._TDN_CACHE == {}
+        assert set(genseries._MBAR0_CACHE) == {2, 3}
+
+    @pytest.mark.parametrize("table, key", [("mbar0", "1"), ("tdn", "0,4"), ("tdn", "2,0")])
+    def test_out_of_range_key_is_refused(self, tmp_path, table, key):
+        doc = {"mbar0": {}, "tdn": {}}
+        doc[table][key] = {"basis": "T", "coeffs": ["1"]}
+        (tmp_path / "f1kit_cache.json").write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="out of range"):
+            load_caches(str(tmp_path))
+
+
+class TestKernel:
+    """The folded integer kernel against the series solver over MotClass."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_classes_match_series_solver(self, d):
+        clear_caches()
+        series = solve_tdn_ode(d, 30)
+        for n in range(1, 31):
+            assert tdn_class(d, n) == series.coeff(n), "d=%d n=%d" % (d, n)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_point_counts_match_series_solver(self, d):
+        series = solve_tdn_ode(d, 30)
+        for m in range(10):
+            want = [series.coeff(n).count_points(m) for n in range(1, 31)]
+            assert solve_point_count_ode(d, m, 30) == want, "d=%d m=%d" % (d, m)
+
+    def test_mbar0_is_tdn_shifted(self):
+        clear_caches()
+        for n in range(2, 61):
+            assert mbar0_class(n) == tdn_class(1, n - 1), "n=%d" % n
+
+    def test_memo_grows_to_fresh_values(self):
+        clear_caches()
+        small = tdn_class(2, 10)
+        grown = tdn_class(2, 30)
+        clear_caches()
+        assert tdn_class(2, 30) == grown
+        assert tdn_class(2, 10) == small
+
+    def test_point_count_order_one(self):
+        assert solve_point_count_ode(3, 4, 1) == [1]
+
+    def test_digit_sum_guard(self):
+        sums = genseries._tdn_values(2, 12, 1)
+        width = (max(sums).bit_length() + 7) // 8
+        assert width > 1
+        packed = genseries._tdn_values(2, 12, 1 << 8 * width)
+        assert genseries._unpack(packed[-1], width, sums[-1]) == list(tdn_class(2, 12).coeffs)
+        narrow = genseries._tdn_values(2, 12, 1 << 8 * (width - 1))
+        with pytest.raises(AssertionError, match="carried"):
+            genseries._unpack(narrow[-1], width - 1, sums[-1])
