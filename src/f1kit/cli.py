@@ -3,19 +3,13 @@
 Every command is a thin wrapper over the library, and identical invocations
 produce byte-identical output: JSON keys are sorted, integers are emitted as
 decimal strings in JSON, and lines end with LF.  Exit codes: 0 success,
-2 usage error, 3 range error, 4 internal invariant violation, a cache file
-that cannot be loaded or fails its spot check (nothing is printed), or a
-cache file that cannot be saved (the answer is printed first).
-
-If F1KIT_CACHE_DIR is set, the recursion memo tables are loaded from and
-saved to that directory; otherwise everything stays in memory.
+2 usage error, 3 range error, 4 internal invariant violation.
 """
 
 import argparse
 import csv
 import io
 import json
-import os
 import sys
 
 from . import blueprint, genseries, torif, treeop
@@ -257,14 +251,6 @@ def run(argv=None, stdout=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if exc.code is not None else EXIT_USAGE
-    cache_dir = os.environ.get("F1KIT_CACHE_DIR")
-    if cache_dir:
-        try:
-            genseries.load_caches(cache_dir)
-        except Exception as exc:  # a damaged cache file is never a range error
-            path = os.path.join(cache_dir, genseries.CACHE_FILE)
-            print("cache error: cannot load %s: %s" % (path, exc), file=sys.stderr)
-            return EXIT_INTERNAL
     try:
         doc = _BUILDERS[args.command](args)
         payload = emit(doc, getattr(args, "format", "text"))
@@ -276,13 +262,6 @@ def run(argv=None, stdout=None):
         return EXIT_INTERNAL
     stdout.write(payload)
     stdout.flush()
-    if cache_dir:
-        try:
-            genseries.save_caches(cache_dir)
-        except OSError as exc:  # the answer is already out
-            path = os.path.join(cache_dir, genseries.CACHE_FILE)
-            print("cache error: cannot save %s: %s" % (path, exc), file=sys.stderr)
-            return EXIT_INTERNAL
     return EXIT_OK
 
 

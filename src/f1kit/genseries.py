@@ -16,12 +16,10 @@ the coefficients as mbar0_class(n) instead is inconsistent with b_2 = 1 and
 with the d = 1 specialization, so the shifted indexing is used throughout.)
 
 All recursions are integral: binomials are exact and no rational scalars
-ever appear.  Memo tables are module-level dicts filled with value-identical
-entries by pure functions, so concurrent fills are harmless.
+ever appear.  The memo table is a module-level dict filled with
+value-identical entries by pure functions, so concurrent fills are harmless.
 """
 
-import json
-import os
 from math import comb
 
 from .motive import MotClass, expand_falling, proj_class
@@ -154,9 +152,11 @@ def solve_point_count_ode(d, m, order):
     return _tdn_values(d, order, m)
 
 
-_MBAR0_CACHE = {2: MotClass.one(), 3: MotClass.one()}
-
 _TDN_CACHE = {}  # (d, n) -> class
+
+
+def clear_caches():
+    _TDN_CACHE.clear()
 
 
 def mbar0_class(n):
@@ -165,14 +165,11 @@ def mbar0_class(n):
     Recursion: c_{n+2} = c_{n+1} + L sum_{i+j=n+1, i>=2} C(n,i) c_{i+1} c_{j+1}
     with c_2 = c_3 = 1: the d = 1 case of tdn_class shifted by one,
     mbar0_class(n) = tdn_class(1, n - 1), computed by the same folded kernel
-    and T = 2^w read-off.  A miss fills c_2..c_n at once.
+    and T = 2^w read-off, and memoized there.
     """
     if not isinstance(n, int) or n < 2:
         raise ValueError("n must be an int >= 2")
-    if n not in _MBAR0_CACHE:
-        for k, value in enumerate(_tdn_classes(1, n - 1), start=2):
-            _MBAR0_CACHE[k] = value
-    return _MBAR0_CACHE[n]
+    return tdn_class(1, n - 1)
 
 
 def tdn_class(d, n):
@@ -242,79 +239,14 @@ def stratum_factor_class(d, n):
     return proj_class(d - 1) * open_stratum_class(d, n)
 
 
-def m0_open_class(n, normalized_points=3):
+def m0_open_class(n):
     """Class of the open moduli of n-pointed genus-zero curves, n >= 3.
 
     Normalizing three of the markings to 0, 1, infinity leaves n - 3 moving
     coordinates, so the class is the product of n - 3 falling factors
     (T-1)...(T-n+3), matching the finite-field point count
-    (q-2)...(q-n+2).  ``normalized_points=2`` keeps one more factor, ending
-    at (T-n+2); that reading fails the point-count check for n >= 4 and is
-    kept for comparison only.
+    (q-2)...(q-n+2).
     """
     if not isinstance(n, int) or n < 3:
         raise ValueError("n must be an int >= 3")
-    if normalized_points not in (2, 3):
-        raise ValueError("normalized_points must be 2 or 3")
-    return expand_falling(n - normalized_points)
-
-
-# -- cache persistence -------------------------------------------------
-
-CACHE_FILE = "f1kit_cache.json"
-
-
-def clear_caches():
-    _MBAR0_CACHE.clear()
-    _MBAR0_CACHE.update({2: MotClass.one(), 3: MotClass.one()})
-    _TDN_CACHE.clear()
-
-
-def save_caches(directory):
-    """Write the memo tables to <directory>/f1kit_cache.json."""
-    doc = {
-        "mbar0": {str(n): v.to_json() for n, v in sorted(_MBAR0_CACHE.items())},
-        "tdn": {"%d,%d" % (d, n): v.to_json() for (d, n), v in sorted(_TDN_CACHE.items())},
-    }
-    os.makedirs(directory, exist_ok=True)
-    path = os.path.join(directory, CACHE_FILE)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=2)
-        fh.write("\n")
-    return path
-
-
-def load_caches(directory):
-    """Merge previously saved memo tables; missing file is not an error.
-
-    Before anything is merged, every entry is spot-checked against the
-    kernel at T = 2 (an mbar0 key n is checked as tdn (1, n - 1)).  Editing
-    any single coefficient moves that value by a nonzero multiple of a power
-    of 2, so it is caught; a crafted edit of several coefficients that keeps
-    the value is not.  On a mismatch a ValueError names the entry and
-    nothing is merged.
-    """
-    path = os.path.join(directory, CACHE_FILE)
-    if not os.path.exists(path):
-        return False
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    mbar0 = {int(n): MotClass.from_json(obj) for n, obj in doc.get("mbar0", {}).items()}
-    tdn = {}
-    for key, obj in doc.get("tdn", {}).items():
-        d, n = key.split(",")
-        tdn[(int(d), int(n))] = MotClass.from_json(obj)
-    checks = [("mbar0 %d" % n, (1, n - 1), v) for n, v in mbar0.items()]
-    checks += [("tdn %d,%d" % key, key, v) for key, v in tdn.items()]
-    top = {}
-    for name, (d, n), _ in checks:
-        if d < 1 or n < 1:
-            raise ValueError("cache entry %s is out of range" % name)
-        top[d] = max(top.get(d, 0), n)
-    at_two = {d: _tdn_values(d, n, 2) for d, n in top.items()}
-    for name, (d, n), value in checks:
-        if value.count_points(2) != at_two[d][n - 1]:
-            raise ValueError("cache entry %s does not match the recursion" % name)
-    _MBAR0_CACHE.update(mbar0)
-    _TDN_CACHE.update(tdn)
-    return True
+    return expand_falling(n - 3)

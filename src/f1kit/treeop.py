@@ -22,6 +22,7 @@ from math import comb
 
 from .motive import MotClass, blowup_class, proj_class
 from .genseries import stratum_factor_class
+from .torif import _partitions
 
 
 def _label_key(x):
@@ -496,21 +497,6 @@ def _stratum_factor(d, k):
 # -- enumeration and the strata decomposition --------------------------------
 
 
-def _partitions_min2(items):
-    # set partitions with every block of size >= 2
-    items = tuple(items)
-    if not items:
-        yield ()
-        return
-    first, rest = items[0], items[1:]
-    for r in range(1, len(rest) + 1):
-        for extra in combinations(rest, r):
-            block = (first,) + extra
-            left = tuple(x for x in rest if x not in extra)
-            for tail in _partitions_min2(left):
-                yield (block,) + tail
-
-
 @lru_cache(maxsize=None)
 def _stable_forms(labels):
     """Nested forms of all stable trees with the given input labels, sorted."""
@@ -519,8 +505,9 @@ def _stable_forms(labels):
     for r in range(len(labels) + 1):
         for root_inputs in combinations(labels, r):
             rest = tuple(sorted(label_set - set(root_inputs), key=_label_key))
-            for blocks in _partitions_min2(rest):
-                if len(root_inputs) + len(blocks) < 2:
+            for blocks in _partitions(rest):
+                # each block is a child subtree, which needs >= 2 inputs
+                if len(root_inputs) + len(blocks) < 2 or any(len(b) < 2 for b in blocks):
                     continue
                 options = [_stable_forms(tuple(sorted(b, key=_label_key))) for b in blocks]
                 for chosen in product(*options):

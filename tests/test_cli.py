@@ -1,12 +1,16 @@
+import contextlib
 import io
 import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from f1kit.cli import EXIT_INTERNAL, EXIT_OK, EXIT_RANGE, EXIT_USAGE, emit, run
+import f1kit
+from f1kit.cli import EXIT_OK, EXIT_RANGE, EXIT_USAGE, emit, run
 
 
 def invoke(*argv):
@@ -139,59 +143,76 @@ class TestDeterminism:
         assert a.stdout == b.stdout == b"T^2+7T+7\n"
 
 
-class TestCacheDir:
-    def test_cache_written_and_reused(self, tmp_path):
+class TestNoFiles:
+    def test_cache_dir_is_ignored_and_nothing_written(self, tmp_path):
+        plain_file = tmp_path / "plain-file"
+        plain_file.write_text("")
+        before = sorted(p.name for p in tmp_path.iterdir())
         env = dict(os.environ)
-        env["F1KIT_CACHE_DIR"] = str(tmp_path)
+        env["PYTHONPATH"] = str(Path(f1kit.__file__).resolve().parents[1])
+        env["F1KIT_CACHE_DIR"] = str(plain_file)
         cmd = [sys.executable, "-m", "f1kit", "classes", "--space", "mbar0", "--n", "6"]
-        first = subprocess.run(cmd, capture_output=True, env=env)
-        assert first.returncode == 0
-        cache_file = tmp_path / "f1kit_cache.json"
-        assert cache_file.is_file()
-        doc = json.loads(cache_file.read_text())
-        assert doc["mbar0"]["6"] == {"basis": "T", "coeffs": ["34", "51", "19", "1"]}
-        second = subprocess.run(cmd, capture_output=True, env=env)
-        assert second.stdout == first.stdout
-
-    @pytest.mark.parametrize(
-        "content", ['{"mbar0": {"5": {"basis": "T", "coe', '["not", "a", "table"]']
-    )
-    def test_damaged_cache_file_is_not_a_range_error(self, tmp_path, content):
-        cache_file = tmp_path / "f1kit_cache.json"
-        cache_file.write_text(content)
-        env = dict(os.environ)
-        env["F1KIT_CACHE_DIR"] = str(tmp_path)
-        cmd = [sys.executable, "-m", "f1kit", "classes", "--space", "mbar0", "--n", "6"]
-        proc = subprocess.run(cmd, capture_output=True, env=env)
-        assert proc.returncode == EXIT_INTERNAL
-        assert proc.stdout == b""
-        assert str(cache_file).encode() in proc.stderr
-        assert b"Traceback" not in proc.stderr
-
-    def test_unsavable_cache_keeps_the_answer(self, tmp_path):
-        not_a_dir = tmp_path / "plain-file"
-        not_a_dir.write_text("")
-        env = dict(os.environ)
-        env["F1KIT_CACHE_DIR"] = str(not_a_dir)
-        cmd = [sys.executable, "-m", "f1kit", "classes", "--space", "mbar0", "--n", "6"]
-        proc = subprocess.run(cmd, capture_output=True, env=env)
-        assert proc.returncode == EXIT_INTERNAL
+        proc = subprocess.run(cmd, capture_output=True, env=env, cwd=tmp_path)
+        assert proc.returncode == EXIT_OK
         assert proc.stdout == b"T^3+19T^2+51T+34\n"
-        assert b"cache error: cannot save " + str(not_a_dir / "f1kit_cache.json").encode() in proc.stderr
-        assert b"Traceback" not in proc.stderr
+        assert sorted(p.name for p in tmp_path.iterdir()) == before
+        assert plain_file.read_text() == ""
 
-    def test_edited_cache_entry_is_refused(self, tmp_path):
-        env = dict(os.environ)
-        env["F1KIT_CACHE_DIR"] = str(tmp_path)
-        cmd = [sys.executable, "-m", "f1kit", "classes", "--space", "mbar0", "--n", "6"]
-        assert subprocess.run(cmd, capture_output=True, env=env).returncode == EXIT_OK
-        cache_file = tmp_path / "f1kit_cache.json"
-        text = cache_file.read_text()
-        assert text.count('"34"') == 1
-        cache_file.write_text(text.replace('"34"', '"35"'))
-        proc = subprocess.run(cmd, capture_output=True, env=env)
-        assert proc.returncode == EXIT_INTERNAL
-        assert proc.stdout == b""
-        assert b"cache error: cannot load " + str(cache_file).encode() in proc.stderr
-        assert b"mbar0 6" in proc.stderr
-        assert b"Traceback" not in proc.stderr
+
+_FORMAT = st.sampled_from(["text", "json", "csv"])
+_SPACE = st.sampled_from(["mbar0", "tdn"])
+_BASIS = st.sampled_from(["T", "L"])
+
+
+def _ints(lo, hi):
+    return st.integers(lo, hi).map(str)
+
+
+# flag -> values per command, bounded so that no accepted request runs long
+_FLAGS = {
+    "classes": {
+        "--space": _SPACE,
+        "--n": _ints(-3, 30),
+        "--d": _ints(-2, 4),
+        "--basis": _BASIS,
+        "--format": _FORMAT,
+    },
+    "points": {
+        "--space": _SPACE,
+        "--n": _ints(-3, 20),
+        "--d": _ints(-2, 4),
+        "--m": _ints(-3, 9),
+        "--format": _FORMAT,
+    },
+    "series": {
+        "--d": _ints(-2, 4),
+        "--order": _ints(-3, 15),
+        "--basis": _BASIS,
+        "--format": _FORMAT,
+    },
+    "strata": {"--d": _ints(-2, 3), "--n": _ints(-3, 5), "--basis": _BASIS, "--format": _FORMAT},
+    "torify": {"--d": _ints(-2, 4), "--n": _ints(-3, 6), "--format": _FORMAT},
+    "blueprint": {"--n": _ints(-3, 7), "--format": _FORMAT},
+    "crossed": {"--g": _ints(-2, 3), "--n": _ints(-3, 7), "--format": _FORMAT},
+}
+
+
+@st.composite
+def _argvs(draw):
+    command = draw(st.sampled_from(sorted(_FLAGS)))
+    argv = [command]
+    for flag, values in _FLAGS[command].items():
+        if draw(st.integers(0, 7)):  # a dropped required flag is a usage error
+            argv += [flag, draw(values)]
+    return argv
+
+
+class TestExitCodeFuzz:
+    @settings(max_examples=200, deadline=None)
+    @given(_argvs())
+    def test_exit_code_is_ok_usage_or_range(self, argv):
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = run(argv, stdout=io.BytesIO())
+        assert code in (EXIT_OK, EXIT_USAGE, EXIT_RANGE), (argv, err.getvalue())
+        assert "Traceback" not in err.getvalue()

@@ -1,5 +1,3 @@
-import json
-
 import pytest
 
 from f1kit import genseries
@@ -7,11 +5,9 @@ from f1kit.genseries import (
     EGFSeries,
     clear_caches,
     f1m_count,
-    load_caches,
     m0_open_class,
     mbar0_class,
     open_stratum_class,
-    save_caches,
     solve_point_count_ode,
     solve_tdn_ode,
     stratum_factor_class,
@@ -182,52 +178,14 @@ class TestOpenClassReadings:
                 want *= q - j
             assert m0_open_class(n).count_points(q - 1) == want
             if n > 4:
-                assert m0_open_class(n, normalized_points=2).count_points(q - 1) != want
+                # normalizing only two markings keeps one more falling factor
+                assert expand_falling(n - 2).count_points(q - 1) != want
 
     def test_two_point_reading_has_one_more_factor(self):
+        t = MotClass((0, 1))
         for n in range(3, 8):
-            assert m0_open_class(n, normalized_points=2) == expand_falling(n - 2)
             assert m0_open_class(n) == expand_falling(n - 3)
-
-
-class TestCachePersistence:
-    def test_round_trip(self, tmp_path):
-        clear_caches()
-        before = {n: mbar0_class(n) for n in range(2, 8)}
-        tdn_class(2, 5)
-        save_caches(str(tmp_path))
-        clear_caches()
-        assert load_caches(str(tmp_path))
-        for n, val in before.items():
-            assert mbar0_class(n) == val
-        assert tdn_class(2, 6) == solve_tdn_ode(2, 6).coeff(6)
-        clear_caches()
-
-    def test_missing_dir_is_quiet(self, tmp_path):
-        assert not load_caches(str(tmp_path / "nothing"))
-
-    def test_edited_entry_is_refused_and_nothing_merged(self, tmp_path):
-        clear_caches()
-        tdn_class(2, 6)
-        mbar0_class(7)
-        save_caches(str(tmp_path))
-        path = tmp_path / "f1kit_cache.json"
-        doc = json.loads(path.read_text())
-        doc["tdn"]["2,5"]["coeffs"][3] = str(int(doc["tdn"]["2,5"]["coeffs"][3]) + 1)
-        path.write_text(json.dumps(doc))
-        clear_caches()
-        with pytest.raises(ValueError, match="tdn 2,5"):
-            load_caches(str(tmp_path))
-        assert genseries._TDN_CACHE == {}
-        assert set(genseries._MBAR0_CACHE) == {2, 3}
-
-    @pytest.mark.parametrize("table, key", [("mbar0", "1"), ("tdn", "0,4"), ("tdn", "2,0")])
-    def test_out_of_range_key_is_refused(self, tmp_path, table, key):
-        doc = {"mbar0": {}, "tdn": {}}
-        doc[table][key] = {"basis": "T", "coeffs": ["1"]}
-        (tmp_path / "f1kit_cache.json").write_text(json.dumps(doc))
-        with pytest.raises(ValueError, match="out of range"):
-            load_caches(str(tmp_path))
+            assert expand_falling(n - 2) == m0_open_class(n) * (t - (n - 2))
 
 
 class TestKernel:
