@@ -18,7 +18,7 @@ from itertools import combinations, permutations as iter_permutations
 class SubsetIndex:
     """Canonical split index: I subset of {1..n}, 1 in I, 2 <= |I| <= n-2."""
 
-    __slots__ = ("n", "members")
+    __slots__ = ("n", "members", "_key", "_str")
 
     def __init__(self, n, members):
         members = frozenset(members)
@@ -32,6 +32,9 @@ class SubsetIndex:
             raise ValueError("split must have at least two elements on each side")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "members", members)
+        # sort key and printed form, computed on first use
+        object.__setattr__(self, "_key", None)
+        object.__setattr__(self, "_str", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("SubsetIndex is immutable")
@@ -40,7 +43,9 @@ class SubsetIndex:
         return frozenset(range(1, self.n + 1)) - self.members
 
     def sort_key(self):
-        return (len(self.members), tuple(sorted(self.members)))
+        if self._key is None:
+            object.__setattr__(self, "_key", (len(self.members), tuple(sorted(self.members))))
+        return self._key
 
     def separates(self, pair_a, pair_b):
         """True iff the split puts pair_a on one side and pair_b on the other."""
@@ -60,7 +65,9 @@ class SubsetIndex:
         return "SubsetIndex(%d, %r)" % (self.n, sorted(self.members))
 
     def __str__(self):
-        return "{%s}" % ",".join(str(i) for i in sorted(self.members))
+        if self._str is None:
+            object.__setattr__(self, "_str", "{%s}" % ",".join(str(i) for i in self.sort_key()[1]))
+        return self._str
 
 
 def index_set(n):

@@ -344,7 +344,7 @@ def torify_tree_curve(tau):
     if not tau.is_stable():
         raise ValueError("unstable tree")
     pieces = []
-    order = sorted(tau.vertices, key=lambda v: (tau._depth[v], str(v)))
+    order = sorted(tau.vertices, key=lambda v: (tau.depth(v), str(v)))
     for i, v in enumerate(order):
         if v == tau.root_vertex:
             pieces.append(("v%d:p0" % i, Torus(0)))

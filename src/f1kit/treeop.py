@@ -1,15 +1,20 @@
 """Oriented rooted trees with labeled input tails, and their operad.
 
-A tree is stored at the flag level: a set of half-edges (flags), a boundary
-map flag -> vertex, and an involution pairing flags into edges (fixed points
-are tails).  One involution-fixed flag is the root tail, the output; all
-other tails are inputs and carry marking labels.  Orientation toward the
-root is derived, never stored.
+A tree's value is its nested form: a vertex is a pair (inputs, children) of
+its input labels and the nested forms of its child subtrees.  The canonical
+form sorts the inputs by label and the children by their serialization, which
+is also the JSON form ``{"inputs": [...], "children": [...]}``; equality is
+isomorphism respecting the root and the input labels, decided by that form.
+Composition, forgetting a marking, relabeling and the strata work on forms.
 
-Equality is isomorphism respecting the root and the input labels, decided
-through a canonical nested form: each vertex is encoded as its sorted input
-labels plus its children's encodings sorted by their serialization, which is
-also the JSON form ``{"inputs": [...], "children": [...]}``.
+The flag-level view is built from the form on demand: a set of half-edges
+(flags), a boundary map flag -> vertex, and an involution pairing flags into
+edges (fixed points are tails).  One involution-fixed flag is the root tail,
+the output; all other tails are inputs and carry marking labels.
+Orientation toward the root is derived, never stored.  Vertices and flags
+are numbered in preorder of the form the tree was given.  A tree can also be
+given by flag data, which is checked; grafting and edge contraction work on
+flags and return such trees.
 
 Trees are immutable and every operation returns a new tree, so values can
 be shared freely.
@@ -30,21 +35,29 @@ def _label_key(x):
     return (x.__class__.__name__, x)
 
 
-class RootedTree:
-    __slots__ = (
-        "flags",
-        "vertices",
-        "boundary",
-        "involution",
-        "root_tail",
-        "input_labels",
-        "_flags_at",
-        "_depth",
-        "_out_flag",
-        "_canon",
-    )
+# the flag-level view; a tree given by its nested form builds it on first use
+_FLAG_DATA = frozenset(
+    ("flags", "vertices", "boundary", "involution", "root_tail", "input_labels", "_flags_at", "_depth", "_out_flag")
+)
 
-    def __init__(self, flags, vertices, boundary, involution, root_tail, input_labels):
+
+class RootedTree:
+    __slots__ = tuple(sorted(_FLAG_DATA)) + ("_form", "_nested", "_canon")
+
+    def __init__(self, flags=None, vertices=None, boundary=None, involution=None, root_tail=None,
+                 input_labels=None, *, form=None, canonical=False):
+        """A tree from checked flag data, or from a nested form.
+
+        ``RootedTree(form=f)`` stores f, whose labels must be distinct (see
+        from_nested); ``canonical=True`` says f is already canonical.
+        """
+        object.__setattr__(self, "_canon", None)
+        if form is not None:
+            object.__setattr__(self, "_form", form)
+            object.__setattr__(self, "_nested", form if canonical else None)
+            return
+        object.__setattr__(self, "_form", None)
+        object.__setattr__(self, "_nested", None)
         flags = frozenset(flags)
         vertices = frozenset(vertices)
         boundary = dict(boundary)
@@ -69,7 +82,9 @@ class RootedTree:
         edges = {frozenset((f, involution[f])) for f in flags if involution[f] != f}
         if len(vertices) != len(edges) + 1:
             raise ValueError("flag data is not a tree (vertex/edge count)")
+        self._store_flags(flags, vertices, boundary, involution, root_tail, input_labels)
 
+    def _store_flags(self, flags, vertices, boundary, involution, root_tail, input_labels):
         flags_at = {v: set() for v in vertices}
         for f, v in boundary.items():
             flags_at[v].add(f)
@@ -101,7 +116,13 @@ class RootedTree:
         object.__setattr__(self, "_flags_at", flags_at)
         object.__setattr__(self, "_depth", depth)
         object.__setattr__(self, "_out_flag", out_flag)
-        object.__setattr__(self, "_canon", None)
+
+    def __getattr__(self, name):
+        # reached only for a slot not yet set: the flag data of a form
+        if name not in _FLAG_DATA or self._form is None:
+            raise AttributeError(name)
+        self._store_flags(*_flags_of_form(self._form))
+        return getattr(self, name)
 
     def __setattr__(self, name, value):
         raise AttributeError("RootedTree is immutable")
@@ -114,10 +135,10 @@ class RootedTree:
 
     @property
     def markings(self):
-        return frozenset(self.input_labels)
+        return frozenset(self.input_labels if self._form is None else _labels(self._form))
 
     def input_count(self):
-        return len(self.input_labels)
+        return len(self.markings)
 
     def edges(self):
         return {frozenset((f, g)) for f, g in self.involution.items() if f != g}
@@ -131,6 +152,10 @@ class RootedTree:
     def in_degree(self, v):
         """Incoming tails plus edges from children; the outgoing flag is excluded."""
         return len(self._flags_at[v]) - 1
+
+    def depth(self, v):
+        """Number of edges between v and the root vertex."""
+        return self._depth[v]
 
     def children(self, v):
         """Child vertices of v, via the edges not pointing toward the root."""
@@ -148,19 +173,27 @@ class RootedTree:
 
     def is_stable(self):
         """Every vertex carries at least two incoming flags (tails or child edges)."""
-        return all(self.in_degree(v) >= 2 for v in self.vertices)
+        return all(k >= 2 for k in _in_degrees(self._shape()))
 
     # -- canonical form and serialization ----------------------------------
 
-    def to_nested(self):
-        def build(v):
-            inputs = tuple(
-                sorted((m for m, f in self.input_labels.items() if self.boundary[f] == v), key=_label_key)
-            )
-            subs = tuple(sorted((build(w) for w in self.children(v)), key=_canon_str))
-            return (inputs, subs)
+    def _shape(self):
+        # the form the tree was given by; the canonical one for flag data
+        return self.to_nested() if self._form is None else self._form
 
-        return build(self.root_vertex)
+    def to_nested(self):
+        if self._nested is None:
+            if self._form is None:
+                nested = self._nested_from_flags(self.root_vertex)
+            else:
+                nested = _canonical(self._form)
+            object.__setattr__(self, "_nested", nested)
+        return self._nested
+
+    def _nested_from_flags(self, v):
+        inputs = tuple(sorted((m for m, f in self.input_labels.items() if self.boundary[f] == v), key=_label_key))
+        subs = tuple(sorted((self._nested_from_flags(w) for w in self.children(v)), key=_canon_str))
+        return (inputs, subs)
 
     def canonical_str(self):
         if self._canon is None:
@@ -180,7 +213,7 @@ class RootedTree:
 
     def renumbered(self):
         """Same tree with small consecutive internal labels."""
-        return RootedTree.from_nested(self.to_nested())
+        return RootedTree(form=self.to_nested(), canonical=True)
 
     def to_json(self):
         def conv(form):
@@ -192,42 +225,11 @@ class RootedTree:
 
     @classmethod
     def from_nested(cls, form):
-        flags = []
-        vertices = []
-        boundary = {}
-        involution = {}
-        input_labels = {}
-        counter = [0]
-
-        def fresh():
-            counter[0] += 1
-            return counter[0]
-
-        def build(node, incoming_flag):
-            inputs, subs = node
-            v = len(vertices)
-            vertices.append(v)
-            boundary[incoming_flag] = v
-            for m in inputs:
-                f = fresh()
-                flags.append(f)
-                boundary[f] = v
-                involution[f] = f
-                input_labels[m] = f
-            for sub in subs:
-                up, down = fresh(), fresh()
-                flags.append(up)
-                flags.append(down)
-                involution[up] = down
-                involution[down] = up
-                boundary[up] = v
-                build(sub, down)
-
-        root_tail = 0
-        flags.append(root_tail)
-        involution[root_tail] = root_tail
-        build(form, root_tail)
-        return cls(flags, vertices, boundary, involution, root_tail, input_labels)
+        """The tree with this nested form; inputs and children in any order."""
+        labels = _labels(form)
+        if len(set(labels)) != len(labels):
+            raise ValueError("input labels must biject onto the non-root tails")
+        return cls(form=form)
 
     @classmethod
     def from_json(cls, obj):
@@ -250,10 +252,82 @@ class RootedTree:
         return cls.corolla((label,))
 
 
+# -- nested forms -------------------------------------------------------------
+
+
 @lru_cache(maxsize=None)
 def _canon_str(form):
     inputs, subs = form
     return "(%s|%s)" % (",".join(repr(m) for m in inputs), ";".join(_canon_str(c) for c in subs))
+
+
+def _canonical(form, pi=None):
+    """Canonical form of a nested form, each label m renamed pi[m] if pi is given."""
+    inputs, subs = form
+    if pi is not None:
+        inputs = [pi[m] for m in inputs]
+    return (
+        tuple(sorted(inputs, key=_label_key)),
+        tuple(sorted((_canonical(sub, pi) for sub in subs), key=_canon_str)),
+    )
+
+
+def _labels(form):
+    """Input labels of a nested form in preorder, the order of their flags."""
+    inputs, subs = form
+    out = list(inputs)
+    for sub in subs:
+        out += _labels(sub)
+    return out
+
+
+def _in_degrees(form):
+    """In-degree (inputs plus children) of every vertex of a nested form."""
+    inputs, subs = form
+    out = [len(inputs) + len(subs)]
+    for sub in subs:
+        out += _in_degrees(sub)
+    return out
+
+
+def _flags_of_form(form):
+    """Flag data of a nested form: vertices and flags numbered in preorder."""
+    flags = []
+    vertices = []
+    boundary = {}
+    involution = {}
+    input_labels = {}
+    counter = [0]
+
+    def fresh():
+        counter[0] += 1
+        return counter[0]
+
+    def build(node, incoming_flag):
+        inputs, subs = node
+        v = len(vertices)
+        vertices.append(v)
+        boundary[incoming_flag] = v
+        for m in inputs:
+            f = fresh()
+            flags.append(f)
+            boundary[f] = v
+            involution[f] = f
+            input_labels[m] = f
+        for sub in subs:
+            up, down = fresh(), fresh()
+            flags.append(up)
+            flags.append(down)
+            involution[up] = down
+            involution[down] = up
+            boundary[up] = v
+            build(sub, down)
+
+    root_tail = 0
+    flags.append(root_tail)
+    involution[root_tail] = root_tail
+    build(form, root_tail)
+    return frozenset(flags), frozenset(vertices), boundary, involution, root_tail, input_labels
 
 
 # -- elementary morphisms ---------------------------------------------------
@@ -367,34 +441,53 @@ def compose(tau, args):
 
     Argument k is plugged into the k-th input of tau (inputs ordered by
     label) after its markings are relabeled to the k-th block of
-    1..sum(inputs), so the result has inputs labeled 1..sum(inputs).
+    1..sum(inputs), so the result has inputs labeled 1..sum(inputs).  On
+    nested forms: the root contents of argument k join the vertex of the
+    k-th input.
     """
-    slots = sorted(tau.input_labels, key=_label_key)
+    slots = sorted(tau.markings, key=_label_key)
     if len(args) != len(slots):
         raise ValueError("arity mismatch: tree takes %d inputs, got %d" % (len(slots), len(args)))
-    relabeled = []
+    contents = {}
     offset = 0
-    for a in args:
-        old = sorted(a.input_labels, key=_label_key)
-        mapping = {o: offset + i + 1 for i, o in enumerate(old)}
-        relabeled.append(permute_markings(a, mapping))
+    for slot, a in zip(slots, args):
+        old = sorted(a.markings, key=_label_key)
+        contents[slot] = _canonical(a._shape(), {o: offset + i + 1 for i, o in enumerate(old)})
         offset += len(old)
-    tree, new_edges = graft_all(tau, relabeled)
-    for e in new_edges:
-        tree = contract_edge(tree, e)
-    return tree.renumbered()
+    return RootedTree(form=_substituted(tau._shape(), contents), canonical=True)
+
+
+def _substituted(form, contents):
+    """Canonical form with each input m replaced by the root contents of contents[m]."""
+    inputs, subs = [], [_substituted(sub, contents) for sub in form[1]]
+    for m in form[0]:
+        more_inputs, more_subs = contents[m]
+        inputs += more_inputs
+        subs += more_subs
+    return (tuple(sorted(inputs, key=_label_key)), tuple(sorted(subs, key=_canon_str)))
 
 
 def permute_markings(tau, pi):
-    """Relabel the input tails by the bijection pi (a dict on the markings)."""
-    if set(pi) != set(tau.input_labels):
+    """Relabel the input tails by the bijection pi (a dict on the markings).
+
+    The vertex and flag ids stay those of tau.
+    """
+    if set(pi) != tau.markings:
         raise ValueError("permutation domain does not match the marking set")
     if len(set(pi.values())) != len(pi):
         raise ValueError("relabeling is not injective")
+    if tau._form is not None:
+        return RootedTree(form=_relabeled(tau._form, pi))
     input_labels = {pi[m]: f for m, f in tau.input_labels.items()}
     return RootedTree(
         tau.flags, tau.vertices, tau.boundary, tau.involution, tau.root_tail, input_labels
     )
+
+
+def _relabeled(form, pi):
+    # same order, so the same preorder numbering of vertices and flags
+    inputs, subs = form
+    return (tuple(pi[m] for m in inputs), tuple(_relabeled(sub, pi) for sub in subs))
 
 
 def forget_marking(tau, s):
@@ -404,32 +497,27 @@ def forget_marking(tau, s):
     destabilized root with a child is merged with it.  A single bare vertex
     is returned as is.
     """
-    if s not in tau.input_labels:
+    if s not in tau.markings:
         raise ValueError("unknown marking %r" % (s,))
-    f = tau.input_labels[s]
-    flags = tau.flags - {f}
-    boundary = {h: tau.boundary[h] for h in flags}
-    involution = {h: tau.involution[h] for h in flags}
-    input_labels = {m: h for m, h in tau.input_labels.items() if m != s}
-    t = RootedTree(flags, tau.vertices, boundary, involution, tau.root_tail, input_labels)
-    while len(t.vertices) > 1:
-        unstable = sorted(
-            (v for v in t.vertices if t.in_degree(v) < 2),
-            key=lambda v: (t._depth[v], str(v)),
-        )
-        if not unstable:
-            break
-        v = unstable[0]
-        if v == t.root_vertex:
-            kids = t.children(v)
-            if not kids:
-                break
-            edge = frozenset((t._out_flag[kids[0]], t.involution[t._out_flag[kids[0]]]))
+    inputs, subs = _spliced(tau._shape(), s)
+    if not inputs and len(subs) == 1:
+        inputs, subs = subs[0]
+    return RootedTree(form=(inputs, subs), canonical=True)
+
+
+def _spliced(form, s):
+    """Canonical form without the label s, leaves first splicing every non-root
+    vertex left with fewer than two inputs and children into its mother."""
+    inputs = [m for m in form[0] if m != s]
+    subs = []
+    for sub in form[1]:
+        sub_inputs, sub_subs = _spliced(sub, s)
+        if len(sub_inputs) + len(sub_subs) < 2:
+            inputs += sub_inputs
+            subs += sub_subs
         else:
-            f_out = t._out_flag[v]
-            edge = frozenset((f_out, t.involution[f_out]))
-        t = contract_edge(t, edge)
-    return t.renumbered()
+            subs.append((sub_inputs, sub_subs))
+    return (tuple(sorted(inputs, key=_label_key)), tuple(sorted(subs, key=_canon_str)))
 
 
 # -- classes and point counts ----------------------------------------------
@@ -482,16 +570,23 @@ class StratumDescriptor:
         raise AttributeError("StratumDescriptor is immutable")
 
     def stratum_class(self):
-        out = MotClass.one()
-        for v in self.tree.vertices:
-            out = out * _stratum_factor(self.d, self.tree.in_degree(v))
-        return out
+        """Product of stratum_factor_class(d, k) over the in-degrees k of the vertices."""
+        return _profile_class(self.d, tuple(sorted(_in_degrees(self.tree._shape()))))
 
 
 @lru_cache(maxsize=None)
 def _stratum_factor(d, k):
     # stratum_factor_class is pure, so its values are shared per (d, k)
     return stratum_factor_class(d, k)
+
+
+@lru_cache(maxsize=None)
+def _profile_class(d, profile):
+    # one product per sorted in-degree profile
+    out = MotClass.one()
+    for k in profile:
+        out = out * _stratum_factor(d, k)
+    return out
 
 
 # -- enumeration and the strata decomposition --------------------------------
@@ -520,7 +615,7 @@ def enumerate_stable_trees(n):
     """All stable rooted trees with inputs labeled 1..n, each exactly once."""
     if not isinstance(n, int) or n < 2:
         raise ValueError("n must be an int >= 2")
-    return [RootedTree.from_nested(form) for form in _stable_forms(tuple(range(1, n + 1)))]
+    return [RootedTree(form=form, canonical=True) for form in _stable_forms(tuple(range(1, n + 1)))]
 
 
 def strata_sum(d, n):

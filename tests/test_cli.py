@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -141,6 +142,29 @@ class TestDeterminism:
         b = subprocess.run(cmd, capture_output=True, env=env)
         assert a.returncode == b.returncode == 0
         assert a.stdout == b.stdout == b"T^2+7T+7\n"
+
+
+class TestGolden:
+    """Fixed commands whose stdout must not change by a byte (sha256 pinned)."""
+
+    @pytest.mark.parametrize(
+        "argv,digest",
+        [
+            ("strata --d 1 --n 5 --format text", "bfb0976868f47b4645a396cef686c583c58503ff4a42ad1e60e476739288fbb4"),
+            ("strata --d 1 --n 5 --format json", "8ac490c7130516c7c450d7c9cf59f419100af1848be79b372e5ad4f73bfd7bac"),
+            ("strata --d 1 --n 5 --format csv", "09ac4fe049955694ade7282ff5a937d48708c4486cf9a3db3f93a8af6419b4a5"),
+            ("strata --d 2 --n 5 --format text", "513d08fd7322d708f00f0291338e514c04e316c5b092dcf394528461a61c6f22"),
+            ("strata --d 2 --n 5 --format json", "cd4d1b50fe2898d448b7b1ee13f8dbc8a164d94b625295f2e2d6c598084f4425"),
+            ("strata --d 2 --n 5 --format csv", "4f427ab428a54da42d04f21b4e0cac400ce04e7e7c962f81775033129b5619ca"),
+            ("torify --d 2 --n 8", "1aacb696eb93f625257bad4f67c22b85d20da00b21764def9d6dbb48a973577c"),
+            ("blueprint --n 6 --format json", "d8e944363a413b1b0e70b9482efaf480cb2273ad24f92046abb2b6231f647e13"),
+            ("crossed --g 2 --n 6 --format json", "360f73f05e4d8379e03e2766a3c4f1450abf8e7a8f4e68e0f26baa96f0c66f40"),
+        ],
+    )
+    def test_stdout_digest(self, argv, digest):
+        code, out = invoke(*argv.split())
+        assert code == EXIT_OK
+        assert hashlib.sha256(out).hexdigest() == digest
 
 
 class TestNoFiles:

@@ -1,13 +1,17 @@
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from f1kit.genseries import tdn_class
+from f1kit.genseries import stratum_factor_class, tdn_class
 from f1kit.motive import MotClass, proj_class
 from f1kit.treeop import (
     RootedTree,
     StratumDescriptor,
+    _canonical,
     _graft,
+    _label_key,
+    _stable_forms,
     compose,
     contract_edge,
     enumerate_stable_trees,
@@ -34,7 +38,101 @@ def standardize(tree):
     return permute_markings(tree, {l: i + 1 for i, l in enumerate(labels)})
 
 
+# -- flag-level reference operations ------------------------------------------
+# compose and forget_marking work on nested forms; these are the flag-level
+# routes they replaced, kept as oracles.
+
+
+def flag_compose(tau, args):
+    """Relabel, graft every argument, contract the new edges, renumber."""
+    relabeled = []
+    offset = 0
+    for a in args:
+        old = sorted(a.input_labels, key=_label_key)
+        relabeled.append(permute_markings(a, {o: offset + i + 1 for i, o in enumerate(old)}))
+        offset += len(old)
+    tree, new_edges = graft_all(tau, relabeled)
+    for e in new_edges:
+        tree = contract_edge(tree, e)
+    return tree.renumbered()
+
+
+def flag_forget(tau, s):
+    """Drop the tail of s, then contract the shallowest unstable vertex until none is left."""
+    f = tau.input_labels[s]
+    flags = tau.flags - {f}
+    boundary = {h: tau.boundary[h] for h in flags}
+    involution = {h: tau.involution[h] for h in flags}
+    input_labels = {m: h for m, h in tau.input_labels.items() if m != s}
+    t = RootedTree(flags, tau.vertices, boundary, involution, tau.root_tail, input_labels)
+    while len(t.vertices) > 1:
+        unstable = sorted((v for v in t.vertices if t.in_degree(v) < 2), key=lambda v: (t.depth(v), str(v)))
+        if not unstable:
+            break
+        v = unstable[0]
+        if v == t.root_vertex:
+            kids = t.children(v)
+            if not kids:
+                break
+            edge = frozenset((t._out_flag[kids[0]], t.involution[t._out_flag[kids[0]]]))
+        else:
+            f_out = t._out_flag[v]
+            edge = frozenset((f_out, t.involution[f_out]))
+        t = contract_edge(t, edge)
+    return t.renumbered()
+
+
+def flag_data(tree):
+    return (tree.flags, tree.vertices, tree.boundary, tree.involution, tree.root_tail, tree.input_labels)
+
+
+def assert_same_tree(got, want):
+    assert got.canonical_str() == want.canonical_str()
+    assert flag_data(got) == flag_data(want)
+
+
+def _draw_form(draw, labels, depth):
+    k = draw(st.integers(0, len(labels)))
+    inputs, rest = labels[:k], labels[k:]
+    subs = []
+    count = draw(st.integers(0, 3 if depth < 3 else 0))
+    for i in range(count):
+        j = draw(st.integers(0, len(rest))) if i < count - 1 else len(rest)
+        subs.append(_draw_form(draw, rest[:j], depth + 1))
+        rest = rest[j:]
+    return (tuple(inputs + rest), tuple(subs))
+
+
+@st.composite
+def nested_forms(draw, max_labels=6):
+    """Forms with distinct int or str labels in any order, stable or not."""
+    n = draw(st.integers(0, max_labels))
+    labels = [str(m) if draw(st.booleans()) else m for m in draw(st.permutations(range(1, n + 1)))]
+    return _draw_form(draw, labels, 0)
+
+
 class TestStructure:
+    def test_depth_and_ids_follow_the_given_form(self):
+        # a chain given deeper child first; the canonical form puts it last
+        form = ((98, 99), ())
+        for k in range(6):
+            form = ((900 + k,), (form, ((10 * k + 4, 10 * k + 5), ())))
+        t = RootedTree.from_nested(form)
+        assert [t.depth(v) for v in sorted(t.vertices)] == [0, 1, 2, 3, 4, 5, 6, 6, 5, 4, 3, 2, 1]
+        r = t.renumbered()
+        assert [r.depth(v) for v in sorted(r.vertices)] == [0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6, 6]
+        assert (t.input_labels[905], t.input_labels[54], r.input_labels[54]) == (1, 43, 4)
+        assert r == t
+
+    def test_flag_data_checks_pass_on_built_forms(self):
+        for form in [((1,), (((2, 3), ()),)), ((), ()), ((), (((), ()),)), ((3, 1), (((2,), ()),))]:
+            t = RootedTree.from_nested(form)
+            assert_same_tree(RootedTree(*flag_data(t)), t)
+
+    def test_repeated_label_rejected(self):
+        with pytest.raises(ValueError):
+            RootedTree.from_nested(((1,), (((1, 2), ()),)))
+
     def test_corolla(self):
         c = RootedTree.corolla((1, 2, 3))
         assert len(c.vertices) == 1
@@ -196,6 +294,62 @@ class TestCompose:
             results.add(cur)
         assert len(results) == 1
         assert results.pop() == compose(tau, args)
+
+
+class TestFlagOracles:
+    def test_forget_every_marking_n5(self):
+        for n in range(2, 6):
+            for t in enumerate_stable_trees(n):
+                for s in range(1, n + 1):
+                    assert_same_tree(forget_marking(t, s), flag_forget(t, s))
+
+    def test_compose_small(self):
+        family = [RootedTree.unit()] + enumerate_stable_trees(2) + enumerate_stable_trees(3)
+        for tau in family:
+            for args in product(family, repeat=tau.input_count()):
+                assert_same_tree(compose(tau, list(args)), flag_compose(tau, list(args)))
+
+    @settings(max_examples=150, deadline=None)
+    @given(nested_forms())
+    def test_forget_drawn_forms(self, form):
+        t = RootedTree.from_nested(form)
+        for s in t.markings:
+            assert_same_tree(forget_marking(t, s), flag_forget(t, s))
+
+    @settings(max_examples=150, deadline=None)
+    @given(nested_forms(3), st.lists(nested_forms(3), min_size=3, max_size=3))
+    def test_compose_drawn_forms(self, form, arg_forms):
+        tau = RootedTree.from_nested(form)
+        args = [RootedTree.from_nested(f) for f in arg_forms[: tau.input_count()]]
+        assert_same_tree(compose(tau, args), flag_compose(tau, args))
+
+    @settings(max_examples=150, deadline=None)
+    @given(nested_forms(), st.randoms(use_true_random=False))
+    def test_permute_keeps_flag_ids(self, form, rng):
+        t = RootedTree.from_nested(form)
+        labels = sorted(t.markings, key=_label_key)
+        images = list(labels)
+        rng.shuffle(images)
+        pi = dict(zip(labels, images))
+        got = permute_markings(t, pi)
+        assert flag_data(got)[:5] == flag_data(t)[:5]
+        assert got.input_labels == {pi[m]: f for m, f in t.input_labels.items()}
+        assert got == RootedTree(*flag_data(t)[:5], got.input_labels)
+
+    def test_enumerated_forms_are_canonical(self):
+        for n in range(2, 7):
+            for form in _stable_forms(tuple(range(1, n + 1))):
+                assert _canonical(form) == form
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_stratum_class_is_product_over_vertices(self, d):
+        for n in range(2, 7):
+            for stratum in strata_table(d, n):
+                tree = stratum.tree
+                want = MotClass.one()
+                for v in tree.vertices:
+                    want = want * stratum_factor_class(d, tree.in_degree(v))
+                assert stratum.stratum_class() == want
 
 
 class TestClassesAndPoints:
