@@ -4,8 +4,6 @@ expressions, and blueprint relations for moduli of pointed rational curves."""
 from .motive import (
     MotClass,
     blowup_class,
-    change_basis,
-    count_points,
     expand_falling,
     expand_falling_stirling,
     proj_class,

@@ -4,6 +4,12 @@ Every command is a thin wrapper over the library, and identical invocations
 produce byte-identical output: JSON keys are sorted, integers are emitted as
 decimal strings in JSON, and lines end with LF.  Exit codes: 0 success,
 2 usage error, 3 range error, 4 internal invariant violation.
+
+Each command's builder ``_doc_<command>(args, fmt)`` computes only the
+document of the requested format: the JSON object for ``json``, the output
+string without its final newline for ``text``, and a ``(header, rows)`` pair
+for ``csv``, whose cells ``csv.writer`` stringifies.  ``emit(doc, fmt)``
+renders that one document as bytes.
 """
 
 import argparse
@@ -28,11 +34,10 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, fmt=True, basis=False):
+    def common(p, basis=False):
         if basis:
             p.add_argument("--basis", choices=["T", "L"], default="T")
-        if fmt:
-            p.add_argument("--format", choices=["text", "json", "csv"], default="text")
+        p.add_argument("--format", choices=["text", "json", "csv"], default="text")
 
     p = sub.add_parser("classes", help="emit one class")
     p.add_argument("--space", choices=["mbar0", "tdn"], required=True)
@@ -77,143 +82,106 @@ def build_parser():
 # -- document builders (pure) -------------------------------------------------
 
 
-def _doc_classes(args):
+def _poly(value, basis):
+    return format_poly(value.in_basis(basis), basis)
+
+
+def _compact(obj):
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+def _class(args):
+    """The class named by --space, --n and (for tdn) --d."""
     if args.space == "mbar0":
-        value = genseries.mbar0_class(args.n)
-        title = "mbar0 n=%d" % args.n
-    else:
-        value = genseries.tdn_class(args.d, args.n)
-        title = "tdn d=%d n=%d" % (args.d, args.n)
-    return {
-        "kind": "class",
-        "title": title,
-        "text": format_poly(value.in_basis(args.basis), args.basis),
-        "json": value.to_json(args.basis),
-        "rows": [[str(args.n), format_poly(value.in_basis(args.basis), args.basis)]],
-        "header": ["n", "class"],
-    }
+        return genseries.mbar0_class(args.n)
+    return genseries.tdn_class(args.d, args.n)
 
 
-def _doc_points(args):
-    if args.space == "mbar0":
-        value = genseries.mbar0_class(args.n).count_points(args.m)
-    else:
-        value = genseries.f1m_count(args.d, args.n, args.m)
-    return {
-        "kind": "count",
-        "text": str(value),
-        "json": {"count": str(value), "m": args.m, "n": args.n, "space": args.space},
-        "rows": [[str(args.n), str(args.m), str(value)]],
-        "header": ["n", "m", "count"],
-    }
+def _doc_classes(args, fmt):
+    value = _class(args)
+    if fmt == "json":
+        return value.to_json(args.basis)
+    text = _poly(value, args.basis)
+    if fmt == "csv":
+        return ["n", "class"], [[args.n, text]]
+    return text
 
 
-def _doc_series(args):
+def _doc_points(args, fmt):
+    count = _class(args).count_points(args.m)
+    if fmt == "json":
+        return {"count": str(count), "m": args.m, "n": args.n, "space": args.space}
+    if fmt == "csv":
+        return ["n", "m", "count"], [[args.n, args.m, count]]
+    return str(count)
+
+
+def _doc_series(args, fmt):
     series = genseries.solve_tdn_ode(args.d, args.order)
-    rows = [
-        [str(n), format_poly(series.coeff(n).in_basis(args.basis), args.basis)]
-        for n in range(1, series.order + 1)
-    ]
-    return {
-        "kind": "series",
-        "text": "\n".join("b[%s] = %s" % (n, cls) for n, cls in rows),
-        "json": series.to_json(args.basis),
-        "rows": rows,
-        "header": ["n", "class"],
-    }
+    if fmt == "json":
+        return series.to_json(args.basis)
+    rows = [(n, _poly(series.coeff(n), args.basis)) for n in range(1, series.order + 1)]
+    if fmt == "csv":
+        return ["n", "class"], rows
+    return "\n".join("b[%s] = %s" % row for row in rows)
 
 
-def _doc_strata(args):
+def _doc_strata(args, fmt):
+    basis = args.basis
     table = treeop.strata_table(args.d, args.n)
-    total = MotClass.zero()
-    rows = []
-    for i, stratum in enumerate(table):
-        cls = stratum.stratum_class()
-        total = total + cls
-        rows.append(
-            [
-                str(i),
-                json.dumps(stratum.tree.to_json(), sort_keys=True, separators=(",", ":")),
-                format_poly(cls.in_basis(args.basis), args.basis),
-            ]
-        )
-    oracle = genseries.tdn_class(args.d, args.n)
-    if total != oracle:
+    classes = [stratum.stratum_class() for stratum in table]
+    total = sum(classes, MotClass.zero())
+    if total != genseries.tdn_class(args.d, args.n):
         raise AssertionError("stratum total disagrees with the class recursion")
-    summary = "sum = %s (verified against the recursion)" % format_poly(
-        total.in_basis(args.basis), args.basis
-    )
-    return {
-        "kind": "strata",
-        "text": "\n".join("%s  %s  %s" % tuple(r) for r in rows) + "\n" + summary,
-        "json": {
-            "d": args.d,
-            "n": args.n,
-            "count": len(rows),
-            "strata": [{"index": int(r[0]), "tree": json.loads(r[1]), "class": r[2]} for r in rows],
-            "sum": total.to_json(args.basis),
-            "verified": True,
-        },
-        "rows": rows + [["sum", "", format_poly(total.in_basis(args.basis), args.basis)]],
-        "header": ["index", "tree", "class"],
-    }
+    entries = ((i, s.tree.to_json(), _poly(cls, basis)) for i, (s, cls) in enumerate(zip(table, classes)))
+    if fmt == "json":
+        strata = [{"index": i, "tree": tree, "class": cls} for i, tree, cls in entries]
+        return dict(d=args.d, n=args.n, count=len(table), strata=strata, sum=total.to_json(basis), verified=True)
+    rows = [(i, _compact(tree), cls) for i, tree, cls in entries]
+    if fmt == "csv":
+        return ["index", "tree", "class"], rows + [("sum", "", _poly(total, basis))]
+    body = "\n".join("%s  %s  %s" % row for row in rows)
+    return body + "\nsum = %s (verified against the recursion)" % _poly(total, basis)
 
 
-def _doc_torify(args):
+def _doc_torify(args, fmt):
     if args.d < 0:
         raise ValueError("d must be nonnegative")
     if args.n is None:
-        ct = torif.torify_proj_space(args.d)
-        what = "proj%d" % args.d
+        ct, what = torif.torify_proj_space(args.d), "proj%d" % args.d
     else:
-        ct = torif.constructible_open_stratum(args.d, args.n)
-        what = "stratum d=%d n=%d" % (args.d, args.n)
-    rows = [
-        [label, json.dumps(expr.to_json(), sort_keys=True, separators=(",", ":"))]
-        for label, expr in ct.pieces
-    ]
+        ct, what = torif.constructible_open_stratum(args.d, args.n), "stratum d=%d n=%d" % (args.d, args.n)
+    if fmt == "json":
+        return dict(ct.to_json(), what=what)
+    rows = [(label, _compact(expr.to_json())) for label, expr in ct.pieces]
     cls = format_poly(ct.total_class.coeffs, "T")
-    return {
-        "kind": "torify",
-        "text": "\n".join("%s  %s" % tuple(r) for r in rows) + "\nclass = %s" % cls,
-        "json": {"what": what, "pieces": ct.to_json()["pieces"], "class": ct.total_class.to_json()},
-        "rows": rows + [["class", cls]],
-        "header": ["label", "expr"],
-    }
+    if fmt == "csv":
+        return ["label", "expr"], rows + [("class", cls)]
+    return "\n".join("%s  %s" % row for row in rows) + "\nclass = %s" % cls
 
 
-def _doc_blueprint(args):
+def _doc_blueprint(args, fmt):
     rels = blueprint.plucker_relations(args.n)
-    rows = [[str(i), str(r)] for i, r in enumerate(rels)]
-    return {
-        "kind": "blueprint",
-        "text": "\n".join(r[1] for r in rows),
-        "json": {"n": args.n, "relations": [r.to_json() for r in rels]},
-        "rows": rows,
-        "header": ["index", "relation"],
-    }
+    if fmt == "json":
+        return {"n": args.n, "relations": [r.to_json() for r in rels]}
+    if fmt == "csv":
+        return ["index", "relation"], list(enumerate(rels))
+    return "\n".join(map(str, rels))
 
 
-def _doc_crossed(args):
+def _doc_crossed(args, fmt):
     if args.n < 2 * args.g + 1:
         raise ValueError("need n >= 2g + 1 markings")
     group = [blueprint.embed_perm(p, args.n) for p in blueprint.centralizer_subgroup(args.g)]
     rels = blueprint.plucker_relations(args.n)
     pairs = blueprint.crossed_relations(rels, group)
-    rows = [[str(i), str(a), str(b)] for i, (a, b) in enumerate(pairs)]
+    if fmt == "json":
+        pairs_json = [{"left": a.to_json(), "right": b.to_json()} for a, b in pairs]
+        return dict(g=args.g, n=args.n, group_order=len(group), pairs=pairs_json)
+    if fmt == "csv":
+        return ["index", "left", "right"], [(i, a, b) for i, (a, b) in enumerate(pairs)]
     head = "group order %d, relations %d, crossed pairs %d" % (len(group), len(rels), len(pairs))
-    return {
-        "kind": "crossed",
-        "text": head + "\n" + "\n".join("%s == %s" % (r[1], r[2]) for r in rows),
-        "json": {
-            "g": args.g,
-            "n": args.n,
-            "group_order": len(group),
-            "pairs": [{"left": a.to_json(), "right": b.to_json()} for a, b in pairs],
-        },
-        "rows": rows,
-        "header": ["index", "left", "right"],
-    }
+    return head + "\n" + "\n".join("%s == %s" % pair for pair in pairs)
 
 
 _BUILDERS = {
@@ -228,18 +196,18 @@ _BUILDERS = {
 
 
 def emit(doc, fmt):
-    """Render a document as bytes; identical inputs give identical bytes."""
+    """Render one format's document as bytes; identical inputs give identical bytes."""
     if fmt == "json":
-        return (json.dumps(doc["json"], sort_keys=True, indent=2) + "\n").encode()
+        return (json.dumps(doc, sort_keys=True, indent=2) + "\n").encode()
     if fmt == "csv":
+        header, rows = doc
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(doc.get("header", []))
-        for row in doc.get("rows", []):
-            writer.writerow(row)
+        writer.writerow(header)
+        writer.writerows(rows)
         return buf.getvalue().encode()
     if fmt == "text":
-        return (doc["text"] + "\n").encode()
+        return (doc + "\n").encode()
     raise ValueError("unknown format %r" % (fmt,))
 
 
@@ -252,8 +220,8 @@ def run(argv=None, stdout=None):
     except SystemExit as exc:
         return exc.code if exc.code is not None else EXIT_USAGE
     try:
-        doc = _BUILDERS[args.command](args)
-        payload = emit(doc, getattr(args, "format", "text"))
+        doc = _BUILDERS[args.command](args, args.format)
+        payload = emit(doc, args.format)
     except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_RANGE

@@ -235,15 +235,6 @@ def _linear_shift(coeffs, s):
     return tuple(out)
 
 
-def change_basis(a, basis):
-    """Coefficient sequence of a in the target basis ('T' or 'L')."""
-    return a.in_basis(basis)
-
-
-def count_points(a, m):
-    return a.count_points(m)
-
-
 def format_poly(coeffs, symbol):
     """Human form, descending powers: e.g. 'T^2-3T+2', '0'."""
     if not coeffs:

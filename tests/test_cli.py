@@ -105,21 +105,21 @@ class TestErrors:
 
 class TestEmit:
     def test_motclass_doc(self):
-        doc = {"json": {"basis": "T", "coeffs": ["2", "1"]}}
+        doc = {"basis": "T", "coeffs": ["2", "1"]}
         got = emit(doc, "json")
         assert json.loads(got) == {"basis": "T", "coeffs": ["2", "1"]}
 
     def test_empty_table_csv_is_header_only(self):
-        doc = {"header": ["n", "class"], "rows": []}
+        doc = (["n", "class"], [])
         assert emit(doc, "csv") == b"n,class\n"
 
     def test_lf_line_endings(self):
-        doc = {"header": ["a"], "rows": [["1"], ["2"]]}
+        doc = (["a"], [["1"], ["2"]])
         assert emit(doc, "csv") == b"a\n1\n2\n"
 
     def test_unknown_format(self):
         with pytest.raises(ValueError):
-            emit({"text": "x"}, "yaml")
+            emit("x", "yaml")
 
 
 class TestDeterminism:
@@ -159,6 +159,26 @@ class TestGolden:
             ("torify --d 2 --n 8", "1aacb696eb93f625257bad4f67c22b85d20da00b21764def9d6dbb48a973577c"),
             ("blueprint --n 6 --format json", "d8e944363a413b1b0e70b9482efaf480cb2273ad24f92046abb2b6231f647e13"),
             ("crossed --g 2 --n 6 --format json", "360f73f05e4d8379e03e2766a3c4f1450abf8e7a8f4e68e0f26baa96f0c66f40"),
+            ("classes --space mbar0 --n 8 --basis L", "0ab0f440613b0b55128d617e9fe9df3e40f53e5cef970cfc460ffd98e9d4739c"),
+            ("classes --space tdn --d 2 --n 6 --format json", "5179ee22879c0087992916327ba36ccd961688e38697cd583e822c28ecb5b424"),
+            ("classes --space tdn --d 2 --n 6 --format csv", "e3a827210aca5d43318802bab20df00fe403dacff35f656b3a4e6c47941ab505"),
+            ("points --space mbar0 --n 9 --m 3 --format text", "ebe1907eee556d9738b8ab46ad8836864620a1f6249d11e608dd2c71fad572d4"),
+            ("points --space mbar0 --n 9 --m 3 --format json", "362ecfe50c33522e67beea4495c7ec9df6dea8a86da0c4ebb6c7bb8e6887dde9"),
+            ("points --space mbar0 --n 9 --m 3 --format csv", "414007b05a49012f8d33ec5b79a55277536d1367a9ca509c60216eea6c6adcd3"),
+            ("points --space tdn --d 3 --n 7 --m 2 --format text", "fb30c5de9dd7205e4c457e9e17414253c039e0345950ad5549b81cfde68a0a50"),
+            ("points --space tdn --d 3 --n 7 --m 2 --format json", "1fa4123fbc7d7669af3ee541cf7844a3f99279ca1bec8b59527b10af0c13812e"),
+            ("points --space tdn --d 3 --n 7 --m 2 --format csv", "65a3811435878c0ba1a97278a2f2e6885704dd1c1a26405ce5adf571ace64ff2"),
+            ("series --d 2 --order 8 --basis L --format text", "cf74a30e2a4c70242af4e81afbb36d535dfb3a7c65a78d04e8691e299848db38"),
+            ("series --d 2 --order 8 --basis L --format json", "b2376fd7341e83a17586f4e156349eda6506b6c8ef91c75f3f8bdd3066fc677e"),
+            ("series --d 2 --order 8 --basis L --format csv", "91f4b47b091763cd3384acc92b5729f87337deac372cbf0b0eed423703b0cde4"),
+            ("torify --d 3 --format json", "00d34cb11706d49bb9229d82396775421e04aa856e921cf52c6f85be4e6854e5"),
+            ("torify --d 3 --format csv", "d90b6cbeedd4799c93e72238e61374411ca61087b7a79b6702258bac2a33561a"),
+            ("torify --d 2 --n 6 --format json", "8d1ce115e1c03eedd5b2ca9897e9de4dd525b626d9a530eabf11100464478d3a"),
+            ("torify --d 2 --n 6 --format csv", "cf9c75e085e3faa134f6316e3cfe6c61d144d3d9695029279513d624603b0de0"),
+            ("blueprint --n 6 --format text", "3c1ffdfa366637ed344dae08f00af06bd5f9b5883a1e4646563c519abe399555"),
+            ("blueprint --n 6 --format csv", "45e77cda9a2f070966567e841be4db54e82cdeb01c301c2b582b411ffb0f2a65"),
+            ("crossed --g 2 --n 6 --format text", "51d335b684f3e20247ad86ab7bea2d0989e52435c61edb3d356dfd280d1f61b4"),
+            ("crossed --g 2 --n 6 --format csv", "5bb3fa60d3cbf9d3ffeb89dbc20413a772edd03b2322e95a9bf672c8e1571803"),
         ],
     )
     def test_stdout_digest(self, argv, digest):

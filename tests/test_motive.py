@@ -4,7 +4,6 @@ from hypothesis import given, strategies as st
 from f1kit.motive import (
     MotClass,
     blowup_class,
-    change_basis,
     expand_falling,
     expand_falling_stirling,
     format_poly,
@@ -72,14 +71,14 @@ class TestArithmetic:
 
 class TestBasis:
     def test_t_plus_2_in_l(self):
-        assert change_basis(MotClass((2, 1)), "L") == (1, 1)
+        assert MotClass((2, 1)).in_basis("L") == (1, 1)
 
     def test_quadratic(self):
-        assert change_basis(MotClass((7, 7, 1)), "L") == (1, 5, 1)
+        assert MotClass((7, 7, 1)).in_basis("L") == (1, 5, 1)
 
     def test_zero(self):
-        assert change_basis(MotClass.zero(), "L") == ()
-        assert change_basis(MotClass.zero(), "T") == ()
+        assert MotClass.zero().in_basis("L") == ()
+        assert MotClass.zero().in_basis("T") == ()
 
     def test_from_l(self):
         assert MotClass.from_coeffs((1, 1), "L") == MotClass((2, 1))
