@@ -28,7 +28,6 @@ from .treeop import (
     forget_marking,
     graft,
     graft_all,
-    is_stable,
     permute_markings,
     strata_sum,
     strata_table,

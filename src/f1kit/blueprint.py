@@ -82,15 +82,15 @@ def index_set(n):
     return sorted(out, key=SubsetIndex.sort_key)
 
 
+def _compatible(i, j, full):
+    """Two index sets are nested or jointly cover full."""
+    return i <= j or j <= i or i | j == full
+
+
 def is_simplex(sigma, n):
     """True iff the indices are pairwise nested or jointly cover {1..n}."""
-    sigma = list(sigma)
     full = frozenset(range(1, n + 1))
-    for a, b in combinations(sigma, 2):
-        i, j = a.members, b.members
-        if not (i <= j or j <= i or i | j == full):
-            return False
-    return True
+    return all(_compatible(a.members, b.members, full) for a, b in combinations(sigma, 2))
 
 
 def count_max_simplexes(n):
@@ -101,19 +101,8 @@ def count_max_simplexes(n):
     idx = index_set(n)
     full = frozenset(range(1, n + 1))
     verts = range(len(idx))
-    adj = {
-        v: {
-            w
-            for w in verts
-            if w != v
-            and (
-                idx[v].members <= idx[w].members
-                or idx[w].members <= idx[v].members
-                or idx[v].members | idx[w].members == full
-            )
-        }
-        for v in verts
-    }
+    sets = [i.members for i in idx]
+    adj = {v: {w for w in verts if w != v and _compatible(sets[v], sets[w], full)} for v in verts}
     count = 0
 
     def extend(chosen, candidates, excluded):
@@ -296,18 +285,19 @@ def localize_relation(rel, k):
     """Raise every monomial's f-denominator by k."""
     if not isinstance(k, int) or k < 0:
         raise ValueError("k must be a nonnegative int")
-    return BlueprintRel(
-        [m.with_denominator(m.f_denominator + k) for m in rel.left],
-        [m.with_denominator(m.f_denominator + k) for m in rel.right],
-    )
+    return _shifted(rel, k)
 
 
 def clear_denominators(rel):
     """Multiply both sides by the largest common f-power and cancel."""
-    low = min(m.f_denominator for m in rel.monomials())
+    return _shifted(rel, -min(m.f_denominator for m in rel.monomials()))
+
+
+def _shifted(rel, k):
+    """The relation with every monomial's f-denominator raised by k."""
     return BlueprintRel(
-        [m.with_denominator(m.f_denominator - low) for m in rel.left],
-        [m.with_denominator(m.f_denominator - low) for m in rel.right],
+        [m.with_denominator(m.f_denominator + k) for m in rel.left],
+        [m.with_denominator(m.f_denominator + k) for m in rel.right],
     )
 
 

@@ -149,7 +149,8 @@ class MotClass:
         return self._coeffs == other._coeffs
 
     def __hash__(self):
-        return hash(self._coeffs)
+        # equal to an int when of degree <= 0, so it must hash as that int
+        return hash(self._coeffs) if len(self._coeffs) > 1 else hash(self.coefficient(0))
 
     def __bool__(self):
         return bool(self._coeffs)

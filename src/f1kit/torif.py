@@ -343,16 +343,10 @@ def torify_tree_curve(tau):
     """
     if not tau.is_stable():
         raise ValueError("unstable tree")
-    pieces = []
-    order = sorted(tau.vertices, key=lambda v: (tau.depth(v), str(v)))
-    for i, v in enumerate(order):
-        if v == tau.root_vertex:
-            pieces.append(("v%d:p0" % i, Torus(0)))
-            pieces.append(("v%d:p1" % i, Torus(0)))
-            pieces.append(("v%d:gm" % i, Torus(1)))
-        else:
-            pieces.append(("v%d:p" % i, Torus(0)))
-            pieces.append(("v%d:gm" % i, Torus(1)))
+    pieces = [("v0:p0", Torus(0)), ("v0:p1", Torus(0)), ("v0:gm", Torus(1))]
+    for i in range(1, len(tau.vertices)):
+        pieces.append(("v%d:p" % i, Torus(0)))
+        pieces.append(("v%d:gm" % i, Torus(1)))
     return ConstructibleTorification(pieces)
 
 
@@ -401,12 +395,12 @@ def constructible_open_stratum(d, n):
     return ct
 
 
-def product_torification(a, b, sep="x"):
-    """Pairwise products of pieces, labeled 'left<sep>right'."""
+def product_torification(a, b):
+    """Pairwise products of pieces, labeled '<left>x<right>'."""
     pieces = []
     for la, ea in a.pieces:
         for lb, eb in b.pieces:
-            pieces.append(("%s%s%s" % (la, sep, lb), Product([ea, eb])))
+            pieces.append(("%sx%s" % (la, lb), Product([ea, eb])))
     return ConstructibleTorification(pieces)
 
 

@@ -14,7 +14,8 @@ the output; all other tails are inputs and carry marking labels.
 Orientation toward the root is derived, never stored.  Vertices and flags
 are numbered in preorder of the form the tree was given.  A tree can also be
 given by flag data, which is checked; grafting and edge contraction work on
-flags and return such trees.
+flags and return such trees.  A grafted tree tags the ids of its host
+("h", x) and those of its k-th guest ("a", k, x).
 
 Trees are immutable and every operation returns a new tree, so values can
 be shared freely.
@@ -143,12 +144,6 @@ class RootedTree:
     def edges(self):
         return {frozenset((f, g)) for f, g in self.involution.items() if f != g}
 
-    def tails(self):
-        return {f for f, g in self.involution.items() if f == g}
-
-    def flags_at(self, v):
-        return frozenset(self._flags_at[v])
-
     def in_degree(self, v):
         """Incoming tails plus edges from children; the outgoing flag is excluded."""
         return len(self._flags_at[v]) - 1
@@ -191,9 +186,10 @@ class RootedTree:
         return self._nested
 
     def _nested_from_flags(self, v):
-        inputs = tuple(sorted((m for m, f in self.input_labels.items() if self.boundary[f] == v), key=_label_key))
-        subs = tuple(sorted((self._nested_from_flags(w) for w in self.children(v)), key=_canon_str))
-        return (inputs, subs)
+        return _vertex(
+            (m for m, f in self.input_labels.items() if self.boundary[f] == v),
+            (self._nested_from_flags(w) for w in self.children(v)),
+        )
 
     def canonical_str(self):
         if self._canon is None:
@@ -244,7 +240,7 @@ class RootedTree:
     @classmethod
     def corolla(cls, markings):
         """Single vertex with the given input labels."""
-        return cls.from_nested((tuple(sorted(set(markings), key=_label_key)), ()))
+        return cls.from_nested(_vertex(set(markings), ()))
 
     @classmethod
     def unit(cls, label=1):
@@ -261,15 +257,17 @@ def _canon_str(form):
     return "(%s|%s)" % (",".join(repr(m) for m in inputs), ";".join(_canon_str(c) for c in subs))
 
 
+def _vertex(inputs, subs):
+    """Canonical vertex: inputs sorted by label, canonical children by serialization."""
+    return (tuple(sorted(inputs, key=_label_key)), tuple(sorted(subs, key=_canon_str)))
+
+
 def _canonical(form, pi=None):
     """Canonical form of a nested form, each label m renamed pi[m] if pi is given."""
     inputs, subs = form
     if pi is not None:
         inputs = [pi[m] for m in inputs]
-    return (
-        tuple(sorted(inputs, key=_label_key)),
-        tuple(sorted((_canonical(sub, pi) for sub in subs), key=_canon_str)),
-    )
+    return _vertex(inputs, (_canonical(sub, pi) for sub in subs))
 
 
 def _labels(form):
@@ -333,10 +331,6 @@ def _flags_of_form(form):
 # -- elementary morphisms ---------------------------------------------------
 
 
-def is_stable(tau):
-    return tau.is_stable()
-
-
 def graft(tau, sigma, input_flag):
     """Plug the output of tau into the given input tail of sigma."""
     tree, _ = _graft(tau, sigma, input_flag)
@@ -353,26 +347,35 @@ def _graft(tau, sigma, input_flag):
     consumed = next(m for m, f in sigma.input_labels.items() if f == input_flag)
     if tau.markings & (sigma.markings - {consumed}):
         raise ValueError("marking labels collide; relabel before grafting")
+    tree, (edge,) = _glue(sigma, [(input_flag, tau)])
+    return tree, edge
 
-    def ta(x):
-        return ("g0", x)
 
-    def tb(x):
-        return ("g1", x)
+def _glue(host, plugs):
+    """Flag-level union of host and guests with one new edge per plug.
 
-    flags = [ta(f) for f in tau.flags] + [tb(f) for f in sigma.flags]
-    vertices = [ta(v) for v in tau.vertices] + [tb(v) for v in sigma.vertices]
-    boundary = {ta(f): ta(v) for f, v in tau.boundary.items()}
-    boundary.update({tb(f): tb(v) for f, v in sigma.boundary.items()})
-    involution = {ta(f): ta(g) for f, g in tau.involution.items()}
-    involution.update({tb(f): tb(g) for f, g in sigma.involution.items()})
-    new_edge = (ta(tau.root_tail), tb(input_flag))
-    involution[new_edge[0]] = new_edge[1]
-    involution[new_edge[1]] = new_edge[0]
-    input_labels = {m: ta(f) for m, f in tau.input_labels.items()}
-    input_labels.update({m: tb(f) for m, f in sigma.input_labels.items() if m != consumed})
-    tree = RootedTree(flags, vertices, boundary, involution, tb(sigma.root_tail), input_labels)
-    return tree, frozenset(new_edge)
+    plugs[k] = (tail, guest) joins guest k's root tail to the host input
+    tail; host ids are tagged ("h", x) and guest k's ("a", k, x).  Returns
+    the tree and the tuple of new edges.
+    """
+    flags = [("h", f) for f in host.flags]
+    vertices = [("h", v) for v in host.vertices]
+    boundary = {("h", f): ("h", v) for f, v in host.boundary.items()}
+    involution = {("h", f): ("h", g) for f, g in host.involution.items()}
+    plugged = {tail for tail, _ in plugs}
+    input_labels = {m: ("h", f) for m, f in host.input_labels.items() if f not in plugged}
+    new_edges = []
+    for k, (tail, guest) in enumerate(plugs):
+        flags.extend(("a", k, f) for f in guest.flags)
+        vertices.extend(("a", k, v) for v in guest.vertices)
+        boundary.update({("a", k, f): ("a", k, v) for f, v in guest.boundary.items()})
+        involution.update({("a", k, f): ("a", k, g) for f, g in guest.involution.items()})
+        input_labels.update({m: ("a", k, f) for m, f in guest.input_labels.items()})
+        ends = (("h", tail), ("a", k, guest.root_tail))
+        involution[ends[0]], involution[ends[1]] = ends[1], ends[0]
+        new_edges.append(frozenset(ends))
+    tree = RootedTree(flags, vertices, boundary, involution, ("h", host.root_tail), input_labels)
+    return tree, tuple(new_edges)
 
 
 def contract_edge(tau, edge):
@@ -409,31 +412,7 @@ def graft_all(tau, args):
         if a.markings & seen:
             raise ValueError("argument marking labels collide")
         seen |= a.markings
-
-    def tt(x):
-        return ("h", x)
-
-    def tk(k, x):
-        return ("a", k, x)
-
-    flags = [tt(f) for f in tau.flags]
-    vertices = [tt(v) for v in tau.vertices]
-    boundary = {tt(f): tt(v) for f, v in tau.boundary.items()}
-    involution = {tt(f): tt(g) for f, g in tau.involution.items()}
-    input_labels = {}
-    new_edges = []
-    for k, (slot, arg) in enumerate(zip(slots, args)):
-        flags.extend(tk(k, f) for f in arg.flags)
-        vertices.extend(tk(k, v) for v in arg.vertices)
-        boundary.update({tk(k, f): tk(k, v) for f, v in arg.boundary.items()})
-        involution.update({tk(k, f): tk(k, g) for f, g in arg.involution.items()})
-        input_labels.update({m: tk(k, f) for m, f in arg.input_labels.items()})
-        e = (tt(tau.input_labels[slot]), tk(k, arg.root_tail))
-        involution[e[0]] = e[1]
-        involution[e[1]] = e[0]
-        new_edges.append(frozenset(e))
-    tree = RootedTree(flags, vertices, boundary, involution, tt(tau.root_tail), input_labels)
-    return tree, tuple(new_edges)
+    return _glue(tau, [(tau.input_labels[slot], a) for slot, a in zip(slots, args)])
 
 
 def compose(tau, args):
@@ -464,7 +443,7 @@ def _substituted(form, contents):
         more_inputs, more_subs = contents[m]
         inputs += more_inputs
         subs += more_subs
-    return (tuple(sorted(inputs, key=_label_key)), tuple(sorted(subs, key=_canon_str)))
+    return _vertex(inputs, subs)
 
 
 def permute_markings(tau, pi):
@@ -517,7 +496,7 @@ def _spliced(form, s):
             subs += sub_subs
         else:
             subs.append((sub_inputs, sub_subs))
-    return (tuple(sorted(inputs, key=_label_key)), tuple(sorted(subs, key=_canon_str)))
+    return _vertex(inputs, subs)
 
 
 # -- classes and point counts ----------------------------------------------
@@ -538,9 +517,7 @@ def tree_class(tau, d):
     pd = proj_class(d)
     hyper = proj_class(d - 1)
     total = pd
-    for v in tau.vertices:
-        if v == tau.root_vertex:
-            continue
+    for _ in range(len(tau.vertices) - 1):
         total = blowup_class(total, MotClass.one(), d) + pd - hyper
     return total
 
@@ -606,8 +583,8 @@ def _stable_forms(labels):
                     continue
                 options = [_stable_forms(tuple(sorted(b, key=_label_key))) for b in blocks]
                 for chosen in product(*options):
-                    form = (root_inputs, tuple(sorted(chosen, key=_canon_str)))
-                    out.append(form)
+                    # not _vertex: root_inputs, a combination of sorted labels, is in label order
+                    out.append((root_inputs, tuple(sorted(chosen, key=_canon_str))))
     return tuple(sorted(out, key=_canon_str))
 
 
@@ -657,4 +634,8 @@ def strata_sum(d, n):
 
 def strata_table(d, n):
     """One StratumDescriptor per stable tree with n inputs, in canonical order."""
+    if not isinstance(n, int) or n < 2:
+        raise ValueError("n must be an int >= 2")
+    if not isinstance(d, int) or d < 1:
+        raise ValueError("d must be a positive int")
     return [StratumDescriptor(tree, d) for tree in enumerate_stable_trees(n)]

@@ -68,6 +68,14 @@ class TestArithmetic:
         assert t**3 == t * t * t
         assert t**0 == MotClass.one()
 
+    @pytest.mark.parametrize("k", [0, 1, 5, -3])
+    def test_constant_hashes_as_its_int(self, k):
+        c = MotClass((k,))
+        assert c == k
+        assert hash(c) == hash(k)
+        assert c in {k}
+        assert k in {c}
+
 
 class TestBasis:
     def test_t_plus_2_in_l(self):

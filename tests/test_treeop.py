@@ -1,3 +1,5 @@
+import hashlib
+import json
 from itertools import permutations, product
 
 import pytest
@@ -5,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from f1kit.genseries import stratum_factor_class, tdn_class
 from f1kit.motive import MotClass, proj_class
+from f1kit.torif import torify_tree_curve
 from f1kit.treeop import (
     RootedTree,
     StratumDescriptor,
@@ -205,6 +208,26 @@ class TestGraft:
                 got = contract_edge(t, e)
                 assert got == RootedTree.corolla(tuple(range(2, k1 + 1)) + tuple(range(10, 10 + k2)))
 
+    def test_graft_matches_nested_substitution(self):
+        def plugged(form, slot, guest):
+            inputs, subs = form
+            if slot in inputs:
+                return (tuple(m for m in inputs if m != slot), subs + (guest,))
+            return (inputs, tuple(plugged(sub, slot, guest) for sub in subs))
+
+        guests = [
+            permute_markings(g, {m: m + 10 for m in g.markings})
+            for n in (2, 3)
+            for g in enumerate_stable_trees(n)
+        ]
+        for n in (2, 3, 4):
+            for host in enumerate_stable_trees(n):
+                for slot in sorted(host.markings):
+                    for guest in guests:
+                        got = graft(guest, host, host.input_labels[slot])
+                        want = RootedTree.from_nested(plugged(host.to_nested(), slot, guest.to_nested()))
+                        assert got == want
+
     def test_reject_root_tail(self):
         host = RootedTree.corolla((1, 2))
         with pytest.raises(ValueError):
@@ -382,6 +405,16 @@ class TestClassesAndPoints:
         with pytest.raises(ValueError):
             tree_class(RootedTree.unit(), 1)
 
+    def test_glued_curve_digest(self):
+        # sha256 of every glued-curve torification and class for n <= 6, d <= 3
+        h = hashlib.sha256()
+        for n in range(2, 7):
+            for t in enumerate_stable_trees(n):
+                h.update(json.dumps(torify_tree_curve(t).to_json()).encode())
+                for d in (1, 2, 3):
+                    h.update(repr(tree_class(t, d)).encode())
+        assert h.hexdigest() == "07a11b706ec78e9cc181030a2b288b970f401d0cc98045fb7716984b65f3de00"
+
 
 class TestPermute:
     def test_identity(self):
@@ -500,3 +533,11 @@ class TestStrataSum:
     def test_descriptor_requires_stable(self):
         with pytest.raises(ValueError):
             StratumDescriptor(RootedTree.unit(), 1)
+
+    def test_table_checks_n_then_d_before_enumerating(self):
+        before = _stable_forms.cache_info()
+        with pytest.raises(ValueError, match="d must be a positive int"):
+            strata_table(0, 12)
+        assert _stable_forms.cache_info() == before
+        with pytest.raises(ValueError, match="n must be an int >= 2"):
+            strata_table(0, 1)
