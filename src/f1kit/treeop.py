@@ -583,7 +583,7 @@ def _stable_forms(labels):
                     continue
                 options = [_stable_forms(tuple(sorted(b, key=_label_key))) for b in blocks]
                 for chosen in product(*options):
-                    # not _vertex: root_inputs, a combination of sorted labels, is in label order
+                    # not _vertex: root_inputs is in label order already; re-sorting copies it per form
                     out.append((root_inputs, tuple(sorted(chosen, key=_canon_str))))
     return tuple(sorted(out, key=_canon_str))
 
