@@ -9,7 +9,10 @@ the decompositions produced here satisfy it.
 The atoms of an expression are the constituent cells with their dimensions:
 a torus is one atom, atoms multiply through products (dimensions add along
 the product path), unions concatenate atoms, and a complement exposes the
-atoms of its ambient expression.
+atoms of its ambient expression.  Each node's atoms, class and
+complement-rule problems are set once, when it is built, from its children's;
+atoms, validate and eval_class only read them.  constructible_open_stratum
+shares one chain object per block count among its set partitions.
 
 A ConstructibleTorification is a labeled list of expressions; its class is
 the sum of the pieces' classes, and the decomposition is declared
@@ -17,16 +20,28 @@ constructible when that total is a nonnegative combination of torus powers.
 """
 
 from itertools import product as iproduct
+from math import prod
 
 from .genseries import open_stratum_class
 from .motive import MotClass
 
 
 class TorifExpr:
-    __slots__ = ()
+    """An immutable expression node: its own slots plus the data derived from
+    its children's, set once by the constructor."""
+
+    __slots__ = ("_atoms", "_class", "_problems")
+
+    def _store(self, values, atoms, cls, problems):
+        # values fill the subclass's own slots; problems are (path suffix, message)
+        for name, value in zip(self.__slots__ + TorifExpr.__slots__, values + (atoms, cls, problems)):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("expressions are immutable")
+
+    def _key(self):
+        return (type(self).__name__,) + tuple(getattr(self, name) for name in self.__slots__)
 
     def __eq__(self, other):
         if not isinstance(other, TorifExpr):
@@ -40,16 +55,18 @@ class TorifExpr:
         return "%s.from_json(%r)" % (type(self).__name__, self.to_json())
 
 
+def _located(steps):
+    """Problems of the (path step, child) pairs, each path prefixed by its step."""
+    return tuple((step + suffix, msg) for step, child in steps for suffix, msg in child._problems)
+
+
 class Torus(TorifExpr):
     __slots__ = ("dim",)
 
     def __init__(self, dim):
         if not isinstance(dim, int) or dim < 0:
             raise ValueError("torus dimension must be a nonnegative int")
-        object.__setattr__(self, "dim", dim)
-
-    def _key(self):
-        return ("torus", self.dim)
+        self._store((dim,), (dim,), MotClass.torus(dim) if dim else MotClass.one(), ())
 
     def to_json(self):
         return {"op": "torus", "dim": self.dim}
@@ -63,10 +80,12 @@ class DisjointUnion(TorifExpr):
         for p in parts:
             if not isinstance(p, TorifExpr):
                 raise TypeError("union parts must be expressions")
-        object.__setattr__(self, "parts", parts)
-
-    def _key(self):
-        return ("union", tuple(p._key() for p in self.parts))
+        self._store(
+            (parts,),
+            tuple(a for p in parts for a in p._atoms),
+            sum((p._class for p in parts), MotClass.zero()),
+            _located((".parts[%d]" % i, p) for i, p in enumerate(parts)),
+        )
 
     def to_json(self):
         return {"op": "union", "parts": [p.to_json() for p in self.parts]}
@@ -80,10 +99,12 @@ class Product(TorifExpr):
         for f in factors:
             if not isinstance(f, TorifExpr):
                 raise TypeError("product factors must be expressions")
-        object.__setattr__(self, "factors", factors)
-
-    def _key(self):
-        return ("product", tuple(f._key() for f in self.factors))
+        self._store(
+            (factors,),
+            tuple(sum(combo) for combo in iproduct(*(f._atoms for f in factors))),
+            prod((f._class for f in factors), start=MotClass.one()),
+            _located((".factors[%d]" % i, f) for i, f in enumerate(factors)),
+        )
 
     def to_json(self):
         return {"op": "product", "factors": [f.to_json() for f in self.factors]}
@@ -95,18 +116,26 @@ class Complement(TorifExpr):
     def __init__(self, ambient, removed, assignment=None):
         if not isinstance(ambient, TorifExpr) or not isinstance(removed, TorifExpr):
             raise TypeError("complement takes two expressions")
+        amb, rem = ambient._atoms, removed._atoms
         if assignment is None:
-            assignment = _auto_assignment(ambient, removed)
+            assignment = _auto_assignment(amb, rem)
         else:
             assignment = tuple(assignment)
-            if len(assignment) != len(atoms(removed)):
+            if len(assignment) != len(rem):
                 raise ValueError("assignment must cover every atom of the removed expression")
-        object.__setattr__(self, "ambient", ambient)
-        object.__setattr__(self, "removed", removed)
-        object.__setattr__(self, "assignment", assignment)
-
-    def _key(self):
-        return ("complement", self.ambient._key(), self.removed._key(), self.assignment)
+            if not all(j is None or isinstance(j, int) for j in assignment):
+                raise ValueError("assignment entries must be ints or None")
+        problems = []
+        for i, (dim, j) in enumerate(zip(rem, assignment)):
+            if j is None or not (0 <= j < len(amb)):
+                problems.append(("", "removed atom %d (dim %d) has no ambient atom" % (i, dim)))
+            elif amb[j] <= dim:
+                problems.append(
+                    ("", "removed atom %d (dim %d) assigned to ambient atom %d (dim %d), not strictly larger"
+                     % (i, dim, j, amb[j]))
+                )
+        problems += _located(((".ambient", ambient), (".removed", removed)))
+        self._store((ambient, removed, assignment), amb, ambient._class - removed._class, tuple(problems))
 
     def to_json(self):
         return {
@@ -136,19 +165,9 @@ def expr_from_json(obj):
 
 def atoms(expr):
     """Dimensions of the constituent cells, in a fixed traversal order."""
-    if isinstance(expr, Torus):
-        return (expr.dim,)
-    if isinstance(expr, DisjointUnion):
-        out = ()
-        for p in expr.parts:
-            out += atoms(p)
-        return out
-    if isinstance(expr, Product):
-        dims = [atoms(f) for f in expr.factors]
-        return tuple(sum(combo) for combo in iproduct(*dims))
-    if isinstance(expr, Complement):
-        return atoms(expr.ambient)
-    raise TypeError("not an expression: %r" % (expr,))
+    if not isinstance(expr, TorifExpr):
+        raise TypeError("not an expression: %r" % (expr,))
+    return expr._atoms
 
 
 def dimension(expr):
@@ -157,53 +176,22 @@ def dimension(expr):
     return max(dims) if dims else -1
 
 
-def _auto_assignment(ambient, removed):
-    amb = atoms(ambient)
-    target = None
-    if amb:
-        best = max(amb)
-        target = amb.index(best)
-    out = []
-    for dim in atoms(removed):
-        if target is not None and amb[target] > dim:
-            out.append(target)
-        else:
-            # any strictly larger atom will do; None marks an unassignable atom
-            pick = next((i for i, a in enumerate(amb) if a > dim), None)
-            out.append(pick)
-    return tuple(out)
+def _auto_assignment(amb, rem):
+    """Each removed atom goes to the first largest ambient atom; None marks a
+    removed atom that no ambient atom is strictly larger than."""
+    top = amb.index(max(amb)) if amb else None
+    return tuple(top if top is not None and amb[top] > dim else None for dim in rem)
 
 
-def validate(expr, _path="$"):
-    """Check the strict-dimension complement rule recursively.
+def validate(expr):
+    """Check the strict-dimension complement rule at every complement.
 
-    Returns (ok, diagnostics); never raises.
+    Returns (ok, diagnostics), each diagnostic located by its path from the
+    root "$"; never raises.
     """
-    problems = []
-    if isinstance(expr, Torus):
-        pass
-    elif isinstance(expr, DisjointUnion):
-        for i, p in enumerate(expr.parts):
-            problems.extend(validate(p, "%s.parts[%d]" % (_path, i))[1])
-    elif isinstance(expr, Product):
-        for i, f in enumerate(expr.factors):
-            problems.extend(validate(f, "%s.factors[%d]" % (_path, i))[1])
-    elif isinstance(expr, Complement):
-        amb = atoms(expr.ambient)
-        rem = atoms(expr.removed)
-        for i, dim in enumerate(rem):
-            j = expr.assignment[i]
-            if j is None or not (0 <= j < len(amb)):
-                problems.append("%s: removed atom %d (dim %d) has no ambient atom" % (_path, i, dim))
-            elif amb[j] <= dim:
-                problems.append(
-                    "%s: removed atom %d (dim %d) assigned to ambient atom %d (dim %d), not strictly larger"
-                    % (_path, i, dim, j, amb[j])
-                )
-        problems.extend(validate(expr.ambient, _path + ".ambient")[1])
-        problems.extend(validate(expr.removed, _path + ".removed")[1])
-    else:
-        problems.append("%s: not an expression" % _path)
+    if not isinstance(expr, TorifExpr):
+        return (False, ["$: not an expression"])
+    problems = ["$%s: %s" % p for p in expr._problems]
     return (not problems, problems)
 
 
@@ -213,23 +201,7 @@ def eval_class(expr):
     ok, problems = validate(expr)
     if not ok:
         raise ValueError("invalid complement assignment: " + "; ".join(problems))
-    return _eval(expr)
-
-
-def _eval(expr):
-    if isinstance(expr, Torus):
-        return MotClass.torus(expr.dim) if expr.dim else MotClass.one()
-    if isinstance(expr, DisjointUnion):
-        total = MotClass.zero()
-        for p in expr.parts:
-            total = total + _eval(p)
-        return total
-    if isinstance(expr, Product):
-        total = MotClass.one()
-        for f in expr.factors:
-            total = total * _eval(f)
-        return total
-    return _eval(expr.ambient) - _eval(expr.removed)
+    return expr._class
 
 
 class ConstructibleTorification:
@@ -344,7 +316,7 @@ def torify_tree_curve(tau):
     if not tau.is_stable():
         raise ValueError("unstable tree")
     pieces = [("v0:p0", Torus(0)), ("v0:p1", Torus(0)), ("v0:gm", Torus(1))]
-    for i in range(1, len(tau.vertices)):
+    for i in range(1, tau.vertex_count()):
         pieces.append(("v%d:p" % i, Torus(0)))
         pieces.append(("v%d:gm" % i, Torus(1)))
     return ConstructibleTorification(pieces)
@@ -382,13 +354,11 @@ def constructible_open_stratum(d, n):
         expr = affine_minus_points(d, 2)
     else:
         ambient = Product([affine_minus_points(d, 2) for _ in range(m)])
-        chains = []
-        for blocks in _partitions(tuple(range(m))):
-            k = len(blocks)
-            if k == m:
-                continue  # the discrete partition is the complement itself
-            chains.append(Product([affine_minus_points(d, 2 + i) for i in range(k)]))
-        expr = Complement(ambient, DisjointUnion(chains))
+        # a partition's chain depends only on its block count k; the discrete
+        # partition (k = m) is the complement itself
+        chain = {k: Product([affine_minus_points(d, 2 + i) for i in range(k)]) for k in range(1, m)}
+        removed = [chain[len(blocks)] for blocks in _partitions(range(m)) if len(blocks) < m]
+        expr = Complement(ambient, DisjointUnion(removed))
     ct = ConstructibleTorification([("stratum", expr)])
     if ct.total_class != open_stratum_class(d, n):
         raise AssertionError("stratum expression class drifted from the product formula")

@@ -166,6 +166,10 @@ class RootedTree:
             return None
         return self.boundary[self.involution[self._out_flag[v]]]
 
+    def vertex_count(self):
+        """Number of vertices, read off the form without building the flag view."""
+        return len(_in_degrees(self._shape()))
+
     def is_stable(self):
         """Every vertex carries at least two incoming flags (tails or child edges)."""
         return all(k >= 2 for k in _in_degrees(self._shape()))
@@ -517,7 +521,7 @@ def tree_class(tau, d):
     pd = proj_class(d)
     hyper = proj_class(d - 1)
     total = pd
-    for _ in range(len(tau.vertices) - 1):
+    for _ in range(tau.vertex_count() - 1):
         total = blowup_class(total, MotClass.one(), d) + pd - hyper
     return total
 

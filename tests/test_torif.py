@@ -1,4 +1,7 @@
+import hashlib
+import json
 import random
+from itertools import product as iproduct
 
 import pytest
 from hypothesis import given, strategies as st
@@ -30,14 +33,117 @@ from f1kit.treeop import RootedTree
 
 
 @st.composite
-def exprs(draw, depth=0):
+def exprs(draw, depth=0, complements=False):
+    """Expressions to depth 3; with complements=True also nested complements,
+    auto-assigned or with explicit assignments that may hold None, targets
+    out of range and targets of too small a dimension."""
     if depth >= 3:
         return Torus(draw(st.integers(min_value=0, max_value=3)))
-    kind = draw(st.sampled_from(["torus", "union", "product"]))
+    kinds = ["torus", "union", "product"] + (["complement"] if complements else [])
+    kind = draw(st.sampled_from(kinds))
     if kind == "torus":
         return Torus(draw(st.integers(min_value=0, max_value=3)))
-    parts = draw(st.lists(exprs(depth=depth + 1), min_size=1, max_size=3))
+    if kind == "complement":
+        ambient = draw(exprs(depth=depth + 1, complements=True))
+        removed = draw(exprs(depth=depth + 1, complements=True))
+        if draw(st.booleans()):
+            return Complement(ambient, removed)
+        n_amb = len(oracle_atoms(ambient))
+        target = st.one_of(st.none(), st.integers(min_value=-1, max_value=n_amb + 1))
+        n_rem = len(oracle_atoms(removed))
+        return Complement(ambient, removed, draw(st.lists(target, min_size=n_rem, max_size=n_rem)))
+    parts = draw(st.lists(exprs(depth=depth + 1, complements=complements), min_size=1, max_size=3))
     return DisjointUnion(parts) if kind == "union" else Product(parts)
+
+
+# -- the recursive walks that node data replaced, kept as oracles --------------
+
+
+def oracle_atoms(expr):
+    """Dimensions of the constituent cells, in a fixed traversal order."""
+    if isinstance(expr, Torus):
+        return (expr.dim,)
+    if isinstance(expr, DisjointUnion):
+        out = ()
+        for p in expr.parts:
+            out += oracle_atoms(p)
+        return out
+    if isinstance(expr, Product):
+        dims = [oracle_atoms(f) for f in expr.factors]
+        return tuple(sum(combo) for combo in iproduct(*dims))
+    if isinstance(expr, Complement):
+        return oracle_atoms(expr.ambient)
+    raise TypeError("not an expression: %r" % (expr,))
+
+
+def oracle_validate(expr, _path="$"):
+    """Check the strict-dimension complement rule recursively.
+
+    Returns (ok, diagnostics); never raises.
+    """
+    problems = []
+    if isinstance(expr, Torus):
+        pass
+    elif isinstance(expr, DisjointUnion):
+        for i, p in enumerate(expr.parts):
+            problems.extend(oracle_validate(p, "%s.parts[%d]" % (_path, i))[1])
+    elif isinstance(expr, Product):
+        for i, f in enumerate(expr.factors):
+            problems.extend(oracle_validate(f, "%s.factors[%d]" % (_path, i))[1])
+    elif isinstance(expr, Complement):
+        amb = oracle_atoms(expr.ambient)
+        rem = oracle_atoms(expr.removed)
+        for i, dim in enumerate(rem):
+            j = expr.assignment[i]
+            if j is None or not (0 <= j < len(amb)):
+                problems.append("%s: removed atom %d (dim %d) has no ambient atom" % (_path, i, dim))
+            elif amb[j] <= dim:
+                problems.append(
+                    "%s: removed atom %d (dim %d) assigned to ambient atom %d (dim %d), not strictly larger"
+                    % (_path, i, dim, j, amb[j])
+                )
+        problems.extend(oracle_validate(expr.ambient, _path + ".ambient")[1])
+        problems.extend(oracle_validate(expr.removed, _path + ".removed")[1])
+    else:
+        problems.append("%s: not an expression" % _path)
+    return (not problems, problems)
+
+
+def oracle_eval(expr):
+    if isinstance(expr, Torus):
+        return MotClass.torus(expr.dim) if expr.dim else MotClass.one()
+    if isinstance(expr, DisjointUnion):
+        total = MotClass.zero()
+        for p in expr.parts:
+            total = total + oracle_eval(p)
+        return total
+    if isinstance(expr, Product):
+        total = MotClass.one()
+        for f in expr.factors:
+            total = total * oracle_eval(f)
+        return total
+    return oracle_eval(expr.ambient) - oracle_eval(expr.removed)
+
+
+class TestOracles:
+    @given(exprs(complements=True))
+    def test_node_data_match_the_walks(self, e):
+        assert atoms(e) == oracle_atoms(e)
+        ok, problems = oracle_validate(e)
+        assert validate(e) == (ok, problems)
+        if ok:
+            assert eval_class(e) == oracle_eval(e)
+        else:
+            with pytest.raises(ValueError) as err:
+                eval_class(e)
+            assert str(err.value) == "invalid complement assignment: " + "; ".join(problems)
+
+    def test_not_an_expression(self):
+        assert validate(3) == oracle_validate(3) == (False, ["$: not an expression"])
+        with pytest.raises(TypeError):
+            atoms(3)
+        with pytest.raises(ValueError):
+            eval_class(3)
 
 
 class TestEval:
@@ -77,6 +183,20 @@ class TestValidate:
     def test_diagonal_in_square(self):
         ok, _ = validate(Complement(Product([Torus(1), Torus(1)]), Torus(1)))
         assert ok
+
+    def test_non_int_assignment_rejected(self):
+        obj = {"op": "complement", "ambient": {"op": "torus", "dim": 1},
+               "removed": {"op": "torus", "dim": 0}, "assignment": ["x"]}
+        with pytest.raises(ValueError):
+            expr_from_json(obj)
+        with pytest.raises(ValueError):
+            Complement(Torus(1), Torus(0), [0.0])
+
+    @pytest.mark.parametrize("target", [-1, 5])
+    def test_out_of_range_assignment_is_reported(self, target):
+        ok, problems = validate(Complement(Torus(1), Torus(0), [target]))
+        assert not ok
+        assert problems == ["$: removed atom 0 (dim 0) has no ambient atom"]
 
     def test_nested_problem_is_located(self):
         bad = DisjointUnion([Torus(2), Complement(Torus(1), Torus(2))])
@@ -170,6 +290,40 @@ class TestOpenStratum:
     def test_class_oracle(self, d):
         for n in range(2, 7):
             assert constructible_open_stratum(d, n).total_class == open_stratum_class(d, n)
+
+    @pytest.mark.parametrize("d,n", [(1, n) for n in range(4, 10)] + [(2, n) for n in range(4, 8)])
+    def test_one_chain_per_block_count(self, d, n):
+        removed = constructible_open_stratum(d, n).pieces[0][1].removed
+        assert len({id(chain) for chain in removed.parts}) == n - 3
+
+    @pytest.mark.parametrize(
+        "d,n,digest",
+        [
+            (1, 2, "69e0fb9618719b3c43122a22a56a3f39459477c43878be389343aa6ba31e37ca"),
+            (1, 3, "d4be02f7c3a3b62a5c16d621d2f26201c447c66502feca81d359a9131a1e758e"),
+            (1, 4, "eeb65b398d229a51d84af1c3d1c7c18c513cd8114e3eb2154d64dcb46f5b1838"),
+            (1, 5, "8ce4e7a58e8b3144cdd748ec9b0d0efb5a167e51afe697ed03f2066a9996b508"),
+            (1, 6, "aed47e30ee6d847fae94e448c2995620560badf8b08848985ffa63e64ebf4415"),
+            (1, 7, "1b2e6d43af4d5fce3de4baded22df74f4c5661060c8cab3cade3c02c7f4bfd89"),
+            (1, 8, "889bbec37afc52cb161a405b9f6f3990860c4e341ffd75ecc80d82b30042ebfd"),
+            (1, 9, "e97a59937f04e3939c0cf969b7ec403bbf0bdc3976df0abe4a6f381ec553c59d"),
+            (2, 2, "69e0fb9618719b3c43122a22a56a3f39459477c43878be389343aa6ba31e37ca"),
+            (2, 3, "9365a6cfca0823281765e10974b24f7cf5c9d33eecafd6d022b15c38df617281"),
+            (2, 4, "17456a12bd4eb67f0878e6fa30838788871da9f82b377375ecb85c2f291994e9"),
+            (2, 5, "c970335562624874e7b13d9553271af4c6c23f5ef9c5bc5757bfaf48f75b47a0"),
+            (2, 6, "050fbffe51e9888e8ec9d6b1085fa3a4e5b9f3f0328e383dff5947be3a7d76d7"),
+            (2, 7, "ce3be9e4435be245a16a39258a2f6aa7783fa7eee57c9ba2972f260f20792394"),
+            (3, 2, "69e0fb9618719b3c43122a22a56a3f39459477c43878be389343aa6ba31e37ca"),
+            (3, 3, "e545d481fc3e4dc4750d2eba04b808d6d8fd0061c37c522d198e8830dd316087"),
+            (3, 4, "c5aee539a08a5a691434b5d32c8a7d84c959583ab63744371be52c5969baffef"),
+            (3, 5, "42d794c7e315fc7d620504e9840c81e88dd2e45da1b114ee79a74848ca9edaf0"),
+            (3, 6, "8b91885b5be084c10ad18f8625c58a9cf60128a7b7670fd7c6acafde2e88e373"),
+            (3, 7, "3fc47c22567fb5b6b66d9abca13137ebf7df61064337eca9b82ecafb0ff5369a"),
+        ],
+    )
+    def test_json_digest(self, d, n, digest):
+        out = json.dumps(constructible_open_stratum(d, n).to_json())
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_punctured_affine_classes(self):
         for d in (1, 2, 3):

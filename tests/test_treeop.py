@@ -394,6 +394,22 @@ class TestClassesAndPoints:
                 for d in (1, 2, 3):
                     assert tree_class(t, d) == big_n * proj_class(d) - (big_n - 1)
 
+    def test_vertex_count(self):
+        trees = [t for n in range(2, 7) for t in enumerate_stable_trees(n)]
+        for host in enumerate_stable_trees(4):
+            for guest in enumerate_stable_trees(3):
+                guest = permute_markings(guest, {m: m + 10 for m in guest.markings})
+                trees.append(graft(guest, host, host.input_labels[2]))
+        for t in trees:
+            assert t.vertex_count() == len(t.vertices)
+
+    def test_glued_curves_leave_the_flag_view_unbuilt(self):
+        t = RootedTree.from_nested(((1,), (((2, 3), ()),)))
+        torify_tree_curve(t)
+        tree_class(t, 2)
+        with pytest.raises(AttributeError):
+            RootedTree.flags.__get__(t)
+
     def test_points(self):
         chain3 = RootedTree.from_nested(((1, 2), (((3, 4), ()), ((5, 6), ()))))
         assert len(chain3.vertices) == 3
