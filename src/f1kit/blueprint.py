@@ -2,6 +2,8 @@
 
 Generators x_I are indexed by subsets of {1..n}: the canonical representative
 of a two-sided split contains 1 and has at least two elements on each side.
+An index is stored as the bitmask of that canonical side (bit m for member
+m), and every split rule -- nesting, covering, separation -- reads the mask.
 Monomials over these generators may carry a power of f = prod_I x_I in the
 denominator (localization bookkeeping); relations are unordered sums of
 monomials on each side.
@@ -15,58 +17,62 @@ action; relation sets are compared accordingly.
 from itertools import combinations, permutations as iter_permutations
 
 
+def _full_mask(n):
+    """Mask of {1..n}."""
+    return (1 << (n + 1)) - 2
+
+
 class SubsetIndex:
     """Canonical split index: I subset of {1..n}, 1 in I, 2 <= |I| <= n-2."""
 
-    __slots__ = ("n", "members", "_key", "_str")
+    __slots__ = ("n", "mask", "_key", "_str")
 
     def __init__(self, n, members):
-        members = frozenset(members)
         if not isinstance(n, int) or n < 4:
             raise ValueError("n must be an int >= 4")
-        if not members <= set(range(1, n + 1)):
-            raise ValueError("members must lie in 1..n")
-        if 1 not in members:
-            members = frozenset(range(1, n + 1)) - members
-        if not 2 <= len(members) <= n - 2:
+        mask = 0
+        for m in members:
+            if not isinstance(m, int) or not 1 <= m <= n:
+                raise ValueError("members must lie in 1..n")
+            mask |= 1 << m
+        if not mask & 2:
+            mask ^= _full_mask(n)
+        side = tuple(m for m in range(1, n + 1) if mask >> m & 1)
+        if not 2 <= len(side) <= n - 2:
             raise ValueError("split must have at least two elements on each side")
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "members", members)
-        # sort key and printed form, computed on first use
-        object.__setattr__(self, "_key", None)
-        object.__setattr__(self, "_str", None)
+        object.__setattr__(self, "mask", mask)
+        object.__setattr__(self, "_key", (len(side), side))
+        object.__setattr__(self, "_str", "{%s}" % ",".join(map(str, side)))
 
     def __setattr__(self, name, value):
         raise AttributeError("SubsetIndex is immutable")
 
-    def complement(self):
-        return frozenset(range(1, self.n + 1)) - self.members
+    @property
+    def members(self):
+        return frozenset(self._key[1])
 
     def sort_key(self):
-        if self._key is None:
-            object.__setattr__(self, "_key", (len(self.members), tuple(sorted(self.members))))
         return self._key
 
     def separates(self, pair_a, pair_b):
         """True iff the split puts pair_a on one side and pair_b on the other."""
-        a, b = frozenset(pair_a), frozenset(pair_b)
-        inside, outside = self.members, self.complement()
-        return (a <= inside and b <= outside) or (b <= inside and a <= outside)
+        a, b = (sum({1 << m for m in pair}) for pair in (pair_a, pair_b))
+        inside, outside = self.mask, _full_mask(self.n) ^ self.mask
+        return (a & inside == a and b & outside == b) or (b & inside == b and a & outside == a)
 
     def __eq__(self, other):
         if not isinstance(other, SubsetIndex):
             return NotImplemented
-        return (self.n, self.members) == (other.n, other.members)
+        return (self.n, self.mask) == (other.n, other.mask)
 
     def __hash__(self):
-        return hash((self.n, self.members))
+        return hash((self.n, self.mask))
 
     def __repr__(self):
-        return "SubsetIndex(%d, %r)" % (self.n, sorted(self.members))
+        return "SubsetIndex(%d, %r)" % (self.n, list(self._key[1]))
 
     def __str__(self):
-        if self._str is None:
-            object.__setattr__(self, "_str", "{%s}" % ",".join(str(i) for i in self.sort_key()[1]))
         return self._str
 
 
@@ -74,23 +80,20 @@ def index_set(n):
     """All canonical indices for n markings, sorted; 2^(n-1) - n - 1 of them."""
     if not isinstance(n, int) or n < 4:
         raise ValueError("n must be an int >= 4")
-    out = []
-    rest = list(range(2, n + 1))
-    for k in range(1, n - 2):
-        for extra in combinations(rest, k):
-            out.append(SubsetIndex(n, frozenset((1,) + extra)))
-    return sorted(out, key=SubsetIndex.sort_key)
+    rest = range(2, n + 1)
+    # combinations by ascending size come out in sort-key order
+    return [SubsetIndex(n, (1,) + extra) for k in range(1, n - 2) for extra in combinations(rest, k)]
 
 
 def _compatible(i, j, full):
-    """Two index sets are nested or jointly cover full."""
-    return i <= j or j <= i or i | j == full
+    """Two index masks are nested or jointly cover full."""
+    return i & j in (i, j) or i | j == full
 
 
 def is_simplex(sigma, n):
     """True iff the indices are pairwise nested or jointly cover {1..n}."""
-    full = frozenset(range(1, n + 1))
-    return all(_compatible(a.members, b.members, full) for a, b in combinations(sigma, 2))
+    full = _full_mask(n)
+    return all(_compatible(a.mask, b.mask, full) for a, b in combinations(sigma, 2))
 
 
 def count_max_simplexes(n):
@@ -99,10 +102,10 @@ def count_max_simplexes(n):
     Maximal simplexes correspond to trivalent trees, (2n-5)!! of them.
     """
     idx = index_set(n)
-    full = frozenset(range(1, n + 1))
+    full = _full_mask(n)
     verts = range(len(idx))
-    sets = [i.members for i in idx]
-    adj = {v: {w for w in verts if w != v and _compatible(sets[v], sets[w], full)} for v in verts}
+    masks = [i.mask for i in idx]
+    adj = {v: {w for w in verts if w != v and _compatible(masks[v], masks[w], full)} for v in verts}
     count = 0
 
     def extend(chosen, candidates, excluded):
@@ -127,6 +130,8 @@ class Monomial:
     __slots__ = ("n", "exps", "f_denominator")
 
     def __init__(self, n, exps=(), f_denominator=0):
+        if not isinstance(n, int) or n < 4:
+            raise ValueError("n must be an int >= 4")
         if isinstance(exps, dict):
             exps = exps.items()
         cleaned = {}
@@ -151,13 +156,7 @@ class Monomial:
     def __mul__(self, other):
         if not isinstance(other, Monomial) or other.n != self.n:
             raise ValueError("cannot multiply monomials over different index sets")
-        merged = dict(self.exps)
-        for idx, e in other.exps:
-            merged[idx] = merged.get(idx, 0) + e
-        return Monomial(self.n, merged, self.f_denominator + other.f_denominator)
-
-    def with_denominator(self, k):
-        return Monomial(self.n, self.exps, k)
+        return Monomial(self.n, self.exps + other.exps, self.f_denominator + other.f_denominator)
 
     def support(self):
         return [idx for idx, _ in self.exps]
@@ -192,7 +191,7 @@ class Monomial:
 
     def to_json(self):
         return {
-            "exps": [[sorted(idx.members), e] for idx, e in self.exps],
+            "exps": [[list(idx.sort_key()[1]), e] for idx, e in self.exps],
             "fpow": self.f_denominator,
         }
 
@@ -261,9 +260,7 @@ def plucker_relations(n):
     For the quadruple the sides are m(ij|kl) + m(il|jk) == m(ik|jl), the
     right side being the crossing pattern of the sorted quadruple.
     """
-    if not isinstance(n, int) or n < 4:
-        raise ValueError("n must be an int >= 4")
-    splits = [(idx, sum(1 << m for m in idx.members)) for idx in index_set(n)]
+    splits = index_set(n)
     out = []
     for i, j, k, l in combinations(range(1, n + 1), 4):
         bi, bj, bk, bl = 1 << i, 1 << j, 1 << k, 1 << l
@@ -272,8 +269,8 @@ def plucker_relations(n):
         # on its own side: 0 = (ij|kl), 1 = (il|jk), 2 = (ik|jl)
         pattern = {bi | bj: 0, bk | bl: 0, bi | bl: 1, bj | bk: 1, bi | bk: 2, bj | bl: 2}
         sides = ([], [], [])
-        for idx, mask in splits:
-            p = pattern.get(mask & quad)
+        for idx in splits:
+            p = pattern.get(idx.mask & quad)
             if p is not None:
                 sides[p].append((idx, 1))
         ij_kl, il_jk, ik_jl = (Monomial(n, s) for s in sides)
@@ -296,12 +293,17 @@ def clear_denominators(rel):
 def _shifted(rel, k):
     """The relation with every monomial's f-denominator raised by k."""
     return BlueprintRel(
-        [m.with_denominator(m.f_denominator + k) for m in rel.left],
-        [m.with_denominator(m.f_denominator + k) for m in rel.right],
+        [Monomial(m.n, m.exps, m.f_denominator + k) for m in rel.left],
+        [Monomial(m.n, m.exps, m.f_denominator + k) for m in rel.right],
     )
 
 
 # -- permutations ----------------------------------------------------------
+
+
+def _check_perm(pi, n):
+    if len(pi) != n or sorted(pi) != list(range(1, n + 1)):
+        raise ValueError("perm must be a permutation tuple of 1..n")
 
 
 def identity_perm(n):
@@ -334,13 +336,9 @@ def perm_action(pi, mono):
     up to the induced permutation of separation patterns.
     """
     n = mono.n
-    if len(pi) != n:
-        raise ValueError("permutation length does not match the index size")
-    exps = {}
-    for idx, e in mono.exps:
-        image = SubsetIndex(n, frozenset(pi[i - 1] for i in idx.members))
-        exps[image] = exps.get(image, 0) + e
-    return Monomial(n, exps, mono.f_denominator)
+    _check_perm(pi, n)
+    images = [(SubsetIndex(n, [pi[i - 1] for i in idx.sort_key()[1]]), e) for idx, e in mono.exps]
+    return Monomial(n, images, mono.f_denominator)
 
 
 def perm_relation(pi, rel):
@@ -389,8 +387,7 @@ class CrossedElem:
         for m in summands:
             if m.n != n:
                 raise ValueError("summands must live over the same index set")
-        if len(perm) != n or sorted(perm) != list(range(1, n + 1)):
-            raise ValueError("perm must be a permutation tuple of 1..n")
+        _check_perm(perm, n)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "summands", summands)
         object.__setattr__(self, "perm", tuple(perm))

@@ -28,14 +28,15 @@ from .motive import MotClass
 
 class TorifExpr:
     """An immutable expression node: its own slots plus the data derived from
-    its children's, set once by the constructor."""
+    its children's, and its hash, set once by the constructor."""
 
-    __slots__ = ("_atoms", "_class", "_problems")
+    __slots__ = ("_atoms", "_class", "_problems", "_hash")
 
     def _store(self, values, atoms, cls, problems):
         # values fill the subclass's own slots; problems are (path suffix, message)
         for name, value in zip(self.__slots__ + TorifExpr.__slots__, values + (atoms, cls, problems)):
             object.__setattr__(self, name, value)
+        object.__setattr__(self, "_hash", hash(self._key()))
 
     def __setattr__(self, name, value):
         raise AttributeError("expressions are immutable")
@@ -46,10 +47,10 @@ class TorifExpr:
     def __eq__(self, other):
         if not isinstance(other, TorifExpr):
             return NotImplemented
-        return self._key() == other._key()
+        return self is other or (self._hash == other._hash and self._key() == other._key())
 
     def __hash__(self):
-        return hash(self._key())
+        return self._hash
 
     def __repr__(self):
         return "%s.from_json(%r)" % (type(self).__name__, self.to_json())

@@ -3,6 +3,7 @@ from itertools import combinations, permutations
 from math import comb, factorial
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from f1kit.blueprint import (
     BlueprintRel,
@@ -291,3 +292,133 @@ class TestCrossedRelations:
         group = [embed_perm(p, n) for p in centralizer_subgroup(g)]
         pairs = crossed_relations(plucker_relations(n), group)
         assert len(pairs) == comb(n, 4) * 2**g * factorial(g)
+
+
+# -- frozenset oracles: the split rules as first written on member sets -------
+
+
+def oracle_members(n, members):
+    members = frozenset(members)
+    if not members <= set(range(1, n + 1)):
+        raise ValueError("members must lie in 1..n")
+    if 1 not in members:
+        members = frozenset(range(1, n + 1)) - members
+    if not 2 <= len(members) <= n - 2:
+        raise ValueError("split must have at least two elements on each side")
+    return members
+
+
+def oracle_sort_key(members):
+    return (len(members), tuple(sorted(members)))
+
+
+def oracle_str(members):
+    return "{%s}" % ",".join(str(i) for i in oracle_sort_key(members)[1])
+
+
+def oracle_repr(n, members):
+    return "SubsetIndex(%d, %r)" % (n, sorted(members))
+
+
+def oracle_separates(n, members, pair_a, pair_b):
+    a, b = frozenset(pair_a), frozenset(pair_b)
+    inside, outside = members, frozenset(range(1, n + 1)) - members
+    return (a <= inside and b <= outside) or (b <= inside and a <= outside)
+
+
+def oracle_compatible(i, j, full):
+    return i <= j or j <= i or i | j == full
+
+
+def oracle_perm_action(n, pi, mono):
+    """(members, exponent) pairs in sort-key order, and the f-power."""
+    exps = {}
+    for index, e in mono.exps:
+        image = oracle_members(n, frozenset(pi[i - 1] for i in index.members))
+        exps[image] = exps.get(image, 0) + e
+    return sorted(exps.items(), key=lambda p: oracle_sort_key(p[0])), mono.f_denominator
+
+
+@st.composite
+def split_cases(draw):
+    n = draw(st.integers(4, 10))
+    member = st.one_of(st.integers(1, n), st.integers(-2, n + 3))
+    return n, draw(st.lists(member, max_size=n + 2))
+
+
+class TestMatchesFrozensetOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(split_cases(), st.data())
+    def test_index_rules(self, case, data):
+        n, members = case
+        try:
+            want = oracle_members(n, members)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as err:
+                SubsetIndex(n, members)
+            assert str(err.value) == str(exc)
+            return
+        got = SubsetIndex(n, members)
+        assert got.members == want
+        assert got.sort_key() == oracle_sort_key(want)
+        assert str(got) == oracle_str(want)
+        assert repr(got) == oracle_repr(n, want)
+        other_side = SubsetIndex(n, set(range(1, n + 1)) - set(members))
+        assert other_side == got
+        assert hash(other_side) == hash(got)
+        quad = data.draw(st.permutations(range(1, n + 1)))[:4]
+        pair_a, pair_b = quad[:2], quad[2:]
+        assert got.separates(pair_a, pair_b) == oracle_separates(n, want, pair_a, pair_b)
+        second = data.draw(st.sampled_from(index_set(n)))
+        full = frozenset(range(1, n + 1))
+        assert is_simplex([got, second], n) == oracle_compatible(want, second.members, full)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(4, 10).flatmap(lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.tuples(st.sampled_from(index_set(n)), st.integers(1, 3)), max_size=4),
+        st.integers(0, 2),
+        st.permutations(range(1, n + 1)),
+    )))
+    def test_perm_action_image(self, case):
+        n, exps, fpow, pi = case
+        mono = Monomial(n, exps, fpow)
+        got = perm_action(tuple(pi), mono)
+        want_exps, want_fpow = oracle_perm_action(n, pi, mono)
+        assert [(index.members, e) for index, e in got.exps] == want_exps
+        assert got.f_denominator == want_fpow
+
+    @pytest.mark.parametrize("n", range(4, 13))
+    def test_index_set_is_in_sort_key_order(self, n):
+        assert index_set(n) == sorted(index_set(n), key=SubsetIndex.sort_key)
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize(
+        "pi,mono",
+        [
+            ((1, 2, 2, 4, 5, 6), Monomial(6, {SubsetIndex(6, {1, 2, 3}): 1})),
+            ((1, 1, 1, 1, 1), Monomial(5)),
+            ((1, 2, 3, 4), Monomial(5)),
+        ],
+    )
+    def test_perm_action_refuses_non_permutations(self, pi, mono):
+        with pytest.raises(ValueError, match=r"^perm must be a permutation tuple of 1\.\.n$"):
+            perm_action(pi, mono)
+
+    @pytest.mark.parametrize("member", [2.0, "2"])
+    def test_members_must_be_ints(self, member):
+        with pytest.raises(ValueError, match=r"^members must lie in 1\.\.n$"):
+            SubsetIndex(5, {1, member})
+
+    def test_bool_member_counts_as_its_int(self):
+        index = SubsetIndex(5, {True, 3})
+        assert index == SubsetIndex(5, {1, 3})
+        assert str(index) == "{1,3}"
+        assert repr(index) == "SubsetIndex(5, [1, 3])"
+        assert str(Monomial(5, {index: 1})) == "x{1,3}"
+
+    @pytest.mark.parametrize("n", ["x", 3, 4.0])
+    def test_monomial_checks_n(self, n):
+        with pytest.raises(ValueError, match=r"^n must be an int >= 4$"):
+            Monomial(n)

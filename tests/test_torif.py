@@ -447,3 +447,28 @@ class TestEquivShadow:
 def test_duplicate_labels_rejected():
     with pytest.raises(ValueError):
         ConstructibleTorification([("a", Torus(0)), ("a", Torus(1))])
+
+
+class TestStoredHash:
+    @given(exprs(complements=True))
+    def test_rebuilt_expression_is_equal_with_equal_hash(self, expr):
+        again = expr_from_json(expr.to_json())
+        assert again is not expr
+        assert again == expr
+        assert hash(again) == hash(expr) == hash(expr._key())
+
+    def test_separate_open_strata_are_equal(self):
+        first = constructible_open_stratum(2, 7).pieces[0][1]
+        second = constructible_open_stratum(2, 7).pieces[0][1]
+        assert first is not second
+        assert first == second
+        assert hash(first) == hash(second) == hash(first._key())
+
+    def test_deep_torus_dim_breaks_equality(self):
+        def build(dim):
+            deep = Product([Torus(1), DisjointUnion([Torus(2), Product([Torus(0), Torus(dim)])])])
+            return Complement(Product([deep, Torus(3)]), Torus(0))
+
+        assert build(1) == build(1)
+        assert build(1) != build(2)
+        assert build(2) != build(1)
