@@ -10,6 +10,10 @@ document of the requested format: the JSON object for ``json``, the output
 string without its final newline for ``text``, and a ``(header, rows)`` pair
 for ``csv``, whose cells ``csv.writer`` stringifies.  ``emit(doc, fmt)``
 renders that one document as bytes.
+
+``classes``, ``points`` and ``series`` read every count and class off
+genseries' integer kernel; none runs the MotClass recursion
+``solve_tdn_ode``, which is the tests' oracle.
 """
 
 import argparse
@@ -90,15 +94,15 @@ def _compact(obj):
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def _class(args):
-    """The class named by --space, --n and (for tdn) --d."""
+def _tdn_index(args):
+    """(d, n) of the tdn class named by --space, --n and (for tdn) --d."""
     if args.space == "mbar0":
-        return genseries.mbar0_class(args.n)
-    return genseries.tdn_class(args.d, args.n)
+        return genseries._mbar0_as_tdn(args.n)
+    return args.d, args.n
 
 
 def _doc_classes(args, fmt):
-    value = _class(args)
+    value = genseries.tdn_class(*_tdn_index(args))
     if fmt == "json":
         return value.to_json(args.basis)
     text = _poly(value, args.basis)
@@ -108,7 +112,7 @@ def _doc_classes(args, fmt):
 
 
 def _doc_points(args, fmt):
-    count = _class(args).count_points(args.m)
+    count = genseries.f1m_count(*_tdn_index(args), args.m)
     if fmt == "json":
         return {"count": str(count), "m": args.m, "n": args.n, "space": args.space}
     if fmt == "csv":
@@ -117,7 +121,12 @@ def _doc_points(args, fmt):
 
 
 def _doc_series(args, fmt):
-    series = genseries.solve_tdn_ode(args.d, args.order)
+    if args.d < 1:
+        raise ValueError("d must be a positive int")
+    if args.order < 1:
+        raise ValueError("order must be >= 1")
+    genseries.tdn_class(args.d, args.order)  # one kernel run fills the memo for 1..order
+    series = genseries.EGFSeries(genseries.tdn_class(args.d, n) for n in range(1, args.order + 1))
     if fmt == "json":
         return series.to_json(args.basis)
     rows = [(n, _poly(series.coeff(n), args.basis)) for n in range(1, series.order + 1)]

@@ -1,12 +1,13 @@
 """Generating-series and recursion engines for the moduli-space classes.
 
 The class recursions ``mbar0_class`` / ``tdn_class`` and the point counts
-``solve_point_count_ode`` share one integer kernel: the tdn recursion with T
-evaluated at an integer, its convolution folded in half.  Point counts are
-its values at T = m; classes are read off its values at T = 2^w.  The
-coefficient-extraction solver ``solve_tdn_ode`` for the defining
-differential equation runs over MotClass and is the independent oracle the
-test suite checks the kernel against.
+``solve_point_count_ode`` / ``f1m_count`` share one integer kernel: the tdn
+recursion with T evaluated at an integer, its convolution folded in half.
+Point counts are its values at T = m, read off without building a class;
+classes are read off its values at T = 2^w.  Every count and series the CLI
+prints comes from this kernel.  The coefficient-extraction solver
+``solve_tdn_ode`` for the defining differential equation runs over MotClass
+and is the independent oracle the test suite checks the kernel against.
 
 Series convention.  The solved series is psi(t) = sum_{n>=1} b_n t^n / n!
 with b_1 = 1.  For the d-parameter family, b_n is the class of the space of
@@ -124,14 +125,6 @@ def _unpack(value, width, total):
     return digits
 
 
-def _tdn_classes(d, n):
-    """[tdn_class(d, 1), ..., tdn_class(d, n)], read off the kernel at T = 2^w."""
-    sums = _tdn_values(d, n, 1)
-    width = (max(sums).bit_length() + 7) // 8
-    packed = _tdn_values(d, n, 1 << 8 * width)
-    return [MotClass(_unpack(v, width, s)) for v, s in zip(packed, sums)]
-
-
 def solve_point_count_ode(d, m, order):
     """Integer analogue of solve_tdn_ode with L replaced by m + 1.
 
@@ -159,6 +152,20 @@ def clear_caches():
     _TDN_CACHE.clear()
 
 
+def _check_tdn(d, n):
+    if not isinstance(d, int) or d < 1:
+        raise ValueError("d must be a positive int")
+    if not isinstance(n, int) or n < 1:
+        raise ValueError("n must be a positive int")
+
+
+def _mbar0_as_tdn(n):
+    """(d, n) of the tdn class equal to mbar0_class(n): (1, n - 1)."""
+    if not isinstance(n, int) or n < 2:
+        raise ValueError("n must be an int >= 2")
+    return 1, n - 1
+
+
 def mbar0_class(n):
     """Class of the compactified moduli space of n-pointed genus-zero curves.
 
@@ -167,9 +174,7 @@ def mbar0_class(n):
     mbar0_class(n) = tdn_class(1, n - 1), computed by the same folded kernel
     and T = 2^w read-off, and memoized there.
     """
-    if not isinstance(n, int) or n < 2:
-        raise ValueError("n must be an int >= 2")
-    return tdn_class(1, n - 1)
+    return tdn_class(*_mbar0_as_tdn(n))
 
 
 def tdn_class(d, n):
@@ -192,19 +197,24 @@ def tdn_class(d, n):
     bytes above that bound, puts each coefficient in its own w-bit slot, and
     a digit-sum check guards the read-off.  A miss fills (d, 1)..(d, n).
     """
-    if not isinstance(d, int) or d < 1:
-        raise ValueError("d must be a positive int")
-    if not isinstance(n, int) or n < 1:
-        raise ValueError("n must be a positive int")
+    _check_tdn(d, n)
     if (d, n) not in _TDN_CACHE:
-        for k, value in enumerate(_tdn_classes(d, n), start=1):
-            _TDN_CACHE[(d, k)] = value
+        sums = _tdn_values(d, n, 1)
+        width = (max(sums).bit_length() + 7) // 8
+        packed = _tdn_values(d, n, 1 << 8 * width)
+        for k, (value, total) in enumerate(zip(packed, sums), start=1):
+            _TDN_CACHE[(d, k)] = MotClass(_unpack(value, width, total))
     return _TDN_CACHE[(d, n)]
 
 
 def f1m_count(d, n, m):
-    """Point count of tdn_class(d, n) over the degree-m extension."""
-    return tdn_class(d, n).count_points(m)
+    """Point count of tdn_class(d, n) over the degree-m extension.
+
+    The kernel's value at T = m, read off without building the class.  d and
+    n are checked first, with tdn_class's messages, then m.
+    """
+    _check_tdn(d, n)
+    return solve_point_count_ode(d, m, n)[n - 1]
 
 
 def open_stratum_class(d, n):

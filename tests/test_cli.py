@@ -1,8 +1,10 @@
 import contextlib
+import csv
 import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,6 +14,8 @@ from hypothesis import given, settings, strategies as st
 
 import f1kit
 from f1kit.cli import EXIT_OK, EXIT_RANGE, EXIT_USAGE, emit, run
+from f1kit.genseries import solve_tdn_ode
+from f1kit.motive import format_poly
 
 
 def invoke(*argv):
@@ -103,6 +107,28 @@ class TestErrors:
         assert code == EXIT_USAGE
 
 
+class TestErrorMessages:
+    """The first failing check names the error, so its order is pinned too."""
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            ("points --space mbar0 --n 1 --m -1", "n must be an int >= 2"),
+            ("points --space tdn --d 0 --n 0 --m -1", "d must be a positive int"),
+            ("points --space tdn --d 1 --n 0 --m -1", "n must be a positive int"),
+            ("points --space mbar0 --n 5 --m -2", "m must be a nonnegative int"),
+            ("points --space tdn --d 2 --n 4 --m -2", "m must be a nonnegative int"),
+            ("series --d 0 --order 0", "d must be a positive int"),
+            ("series --order 0", "order must be >= 1"),
+        ],
+    )
+    def test_stderr_and_exit(self, argv, message):
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code, out = invoke(*argv.split())
+        assert (code, out, err.getvalue()) == (EXIT_RANGE, b"", "error: %s\n" % message)
+
+
 class TestEmit:
     def test_motclass_doc(self):
         doc = {"basis": "T", "coeffs": ["2", "1"]}
@@ -185,6 +211,113 @@ class TestGolden:
         code, out = invoke(*argv.split())
         assert code == EXIT_OK
         assert hashlib.sha256(out).hexdigest() == digest
+
+
+class TestSeriesOracle:
+    """series prints the kernel's classes; the oracle document is built from solve_tdn_ode."""
+
+    @staticmethod
+    def expected(series, fmt, basis):
+        polys = [format_poly(c.in_basis(basis), basis) for c in series.coeffs]
+        if fmt == "json":
+            doc = {"order": series.order, "coeffs": [c.to_json(basis) for c in series.coeffs]}
+            return (json.dumps(doc, sort_keys=True, indent=2) + "\n").encode()
+        if fmt == "csv":
+            return ("n,class\n" + "".join("%d,%s\n" % row for row in enumerate(polys, start=1))).encode()
+        return "".join("b[%d] = %s\n" % row for row in enumerate(polys, start=1)).encode()
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_every_format_and_basis(self, d):
+        full = solve_tdn_ode(d, 20)
+        for order in range(1, 21):
+            series = f1kit.EGFSeries(full.coeffs[:order])
+            for fmt in ("text", "json", "csv"):
+                for basis in ("T", "L"):
+                    argv = ["series", "--d", str(d), "--order", str(order), "--basis", basis, "--format", fmt]
+                    assert invoke(*argv) == (EXIT_OK, self.expected(series, fmt, basis)), argv
+
+
+def _coeffs(poly):
+    """Ascending coefficients of a format_poly string."""
+    out = {}
+    for term in re.findall(r"[+-]?[^+-]+", poly):
+        sign, digits, var, power = re.fullmatch(r"([+-]?)(\d*)([TL]?)(?:\^(\d+))?", term).groups()
+        mag = int(digits) if digits else 1
+        out[int(power or 1) if var else 0] = -mag if sign == "-" else mag
+    return _trim([out.get(k, 0) for k in range(max(out) + 1)])
+
+
+def _trim(coeffs):
+    coeffs = [int(c) for c in coeffs]
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return coeffs
+
+
+def _csv_rows(out):
+    return list(csv.reader(io.StringIO(out.decode())))[1:]
+
+
+def _values(command, fmt, out):
+    """The values one output shows, in a form common to the three formats."""
+    if fmt == "json":
+        doc = json.loads(out)
+        if command == "classes":
+            return _trim(doc["coeffs"])
+        if command == "points":
+            return int(doc["count"])
+        if command == "series":
+            return [_trim(c["coeffs"]) for c in doc["coeffs"]]
+        rows = [(s["index"], s["tree"], _coeffs(s["class"])) for s in doc["strata"]]
+        assert doc["count"] == len(rows) and doc["verified"] is True
+        return rows, _trim(doc["sum"]["coeffs"])
+    if fmt == "csv":
+        rows = _csv_rows(out)
+        if command == "classes":
+            return _coeffs(rows[0][1])
+        if command == "points":
+            return int(rows[0][2])
+        if command == "series":
+            return [_coeffs(cls) for _, cls in rows]
+        table = [(int(i), json.loads(tree), _coeffs(cls)) for i, tree, cls in rows[:-1]]
+        assert rows[-1][:2] == ["sum", ""]
+        return table, _coeffs(rows[-1][2])
+    lines = out.decode().splitlines()
+    if command == "classes":
+        return _coeffs(lines[0])
+    if command == "points":
+        return int(lines[0])
+    if command == "series":
+        return [_coeffs(line.split(" = ")[1]) for line in lines]
+    table = [(int(i), json.loads(tree), _coeffs(cls)) for i, tree, cls in (line.split("  ") for line in lines[:-1])]
+    total = re.fullmatch(r"sum = (\S+) \(verified against the recursion\)", lines[-1]).group(1)
+    return table, _coeffs(total)
+
+
+class TestFormatAgreement:
+    """Text, CSV and JSON of one argv parse back to the same values."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "classes --space mbar0 --n 9 --basis L",
+            "classes --space tdn --d 3 --n 8",
+            "points --space mbar0 --n 12 --m 3",
+            "points --space tdn --d 2 --n 9 --m 0",
+            "series --d 2 --order 9 --basis L",
+            "series --d 1 --order 12",
+            "strata --d 1 --n 5 --basis L",
+            "strata --d 2 --n 4",
+        ],
+    )
+    def test_formats_agree(self, argv):
+        argv = argv.split()
+        shown = []
+        for fmt in ("text", "csv", "json"):
+            code, out = invoke(*argv, "--format", fmt)
+            assert code == EXIT_OK
+            shown.append(_values(argv[0], fmt, out))
+        assert shown[0] == shown[1] == shown[2]
 
 
 class TestNoFiles:

@@ -132,6 +132,27 @@ class TestPointCounts:
                 for n in range(1, 9):
                     assert f1m_count(d, n, m) == counts[n - 1]
 
+    def test_matches_class_count(self):
+        # the kernel at T = m against the packed run's class, counted
+        for d in range(1, 5):
+            for n in range(1, 25):
+                cls = tdn_class(d, n)
+                for m in (0, 1, 2, 5, 9):
+                    assert f1m_count(d, n, m) == cls.count_points(m), (d, n, m)
+
+    @pytest.mark.parametrize(
+        "args,message",
+        [
+            ((0, 0, -1), "d must be a positive int"),
+            ((1, 0, -1), "n must be a positive int"),
+            ((1, 3, -1), "m must be a nonnegative int"),
+            ((2, 3, 1.0), "m must be a nonnegative int"),
+        ],
+    )
+    def test_range_errors_in_order(self, args, message):
+        with pytest.raises(ValueError, match=message):
+            f1m_count(*args)
+
 
 class TestOpenStratum:
     def test_d1_examples(self):
