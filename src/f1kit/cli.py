@@ -9,7 +9,10 @@ Each command's builder ``_doc_<command>(args, fmt)`` computes only the
 document of the requested format: the JSON object for ``json``, the output
 string without its final newline for ``text``, and a ``(header, rows)`` pair
 for ``csv``, whose cells ``csv.writer`` stringifies.  ``emit(doc, fmt)``
-renders that one document as bytes.
+renders that one document as bytes.  JSON comes from f1kit's own writer,
+``_render``, byte-identical to ``json.dumps(doc, sort_keys=True, indent=2)``;
+any list value may be an iterator, so ``strata``, ``blueprint`` and
+``crossed`` hand it generators of rows and no list of row dicts is built.
 
 ``classes``, ``points`` and ``series`` read every count and class off
 genseries' integer kernel; none runs the MotClass recursion
@@ -21,6 +24,8 @@ import csv
 import io
 import json
 import sys
+from collections.abc import Iterator
+from json.encoder import encode_basestring_ascii as _quote
 
 from . import blueprint, genseries, torif, treeop
 from .motive import MotClass, format_poly
@@ -144,7 +149,7 @@ def _doc_strata(args, fmt):
         raise AssertionError("stratum total disagrees with the class recursion")
     entries = ((i, s.tree.to_json(), _poly(cls, basis)) for i, (s, cls) in enumerate(zip(table, classes)))
     if fmt == "json":
-        strata = [{"index": i, "tree": tree, "class": cls} for i, tree, cls in entries]
+        strata = ({"index": i, "tree": tree, "class": cls} for i, tree, cls in entries)
         return dict(d=args.d, n=args.n, count=len(table), strata=strata, sum=total.to_json(basis), verified=True)
     rows = [(i, _compact(tree), cls) for i, tree, cls in entries]
     if fmt == "csv":
@@ -172,7 +177,7 @@ def _doc_torify(args, fmt):
 def _doc_blueprint(args, fmt):
     rels = blueprint.plucker_relations(args.n)
     if fmt == "json":
-        return {"n": args.n, "relations": [r.to_json() for r in rels]}
+        return {"n": args.n, "relations": (r.to_json() for r in rels)}
     if fmt == "csv":
         return ["index", "relation"], list(enumerate(rels))
     return "\n".join(map(str, rels))
@@ -185,7 +190,7 @@ def _doc_crossed(args, fmt):
     rels = blueprint.plucker_relations(args.n)
     pairs = blueprint.crossed_relations(rels, group)
     if fmt == "json":
-        pairs_json = [{"left": a.to_json(), "right": b.to_json()} for a, b in pairs]
+        pairs_json = ({"left": a.to_json(), "right": b.to_json()} for a, b in pairs)
         return dict(g=args.g, n=args.n, group_order=len(group), pairs=pairs_json)
     if fmt == "csv":
         return ["index", "left", "right"], [(i, a, b) for i, (a, b) in enumerate(pairs)]
@@ -204,10 +209,62 @@ _BUILDERS = {
 }
 
 
+def _render(obj, indent):
+    """JSON text of obj, as ``json.dumps(obj, sort_keys=True, indent=2)`` writes it at this indent.
+
+    Dicts need str keys; lists, tuples and iterators are arrays, and an
+    iterator is consumed one item at a time.
+    """
+    if isinstance(obj, str):
+        return _quote(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    # Each container joins its brackets, separators and items in one call, so
+    # the text of a value is copied once per level, however big it is.
+    inner = indent + "  "
+    sep = ",\n" + inner
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        parts = ["{\n" + inner]
+        for k, v in sorted(obj.items()):
+            parts += (_quote(k), ": ", _render(v, inner), sep)
+        parts[-1] = "\n" + indent + "}"
+        return "".join(parts)
+    if isinstance(obj, (list, tuple)):
+        kinds = set(map(type, obj))
+    elif isinstance(obj, Iterator):
+        kinds = None
+    else:
+        raise TypeError("cannot render %r as JSON" % (type(obj).__name__,))
+    if kinds == {int}:  # a list of only ints or only strs skips the recursion
+        items = list(map(int.__repr__, obj))
+    elif kinds == {str}:
+        items = list(map(_quote, obj))
+    else:
+        items = [_render(x, inner) for x in obj]
+    if not items:
+        return "[]"
+    items[0] = "[\n" + inner + items[0]
+    items[-1] += "\n" + indent + "]"
+    return sep.join(items)
+
+
 def emit(doc, fmt):
-    """Render one format's document as bytes; identical inputs give identical bytes."""
+    """Render one format's document as bytes; identical inputs give identical bytes.
+
+    JSON comes from f1kit's own writer, byte-identical to
+    ``json.dumps(doc, sort_keys=True, indent=2)`` plus a final newline; any
+    list value may be an iterator, which is rendered one item at a time.
+    """
     if fmt == "json":
-        return (json.dumps(doc, sort_keys=True, indent=2) + "\n").encode()
+        return (_render(doc, "") + "\n").encode()
     if fmt == "csv":
         header, rows = doc
         buf = io.StringIO()

@@ -7,13 +7,15 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import f1kit
-from f1kit.cli import EXIT_OK, EXIT_RANGE, EXIT_USAGE, emit, run
+from f1kit import cli
+from f1kit.cli import EXIT_INTERNAL, EXIT_OK, EXIT_RANGE, EXIT_USAGE, emit, run
 from f1kit.genseries import solve_tdn_ode
 from f1kit.motive import format_poly
 
@@ -146,6 +148,110 @@ class TestEmit:
     def test_unknown_format(self):
         with pytest.raises(ValueError):
             emit("x", "yaml")
+
+
+_STRINGS = st.text() | st.sampled_from(['"', "\\", '\\"', "\x00\x1f\n\t\x7f", "\u00e9\u20ac\U0001f600", "\ud800"])
+_INTS = st.integers() | st.integers(-(2**80), 2**80) | st.sampled_from([2**64, 2**64 + 1, -(2**64) - 1])
+_JSON_LEAVES = _STRINGS | _INTS | st.booleans() | st.none()
+_JSON_DOCS = st.recursive(
+    _JSON_LEAVES | st.lists(_INTS) | st.lists(_STRINGS),
+    lambda kids: st.lists(kids) | st.lists(kids).map(tuple) | st.dictionaries(_STRINGS, kids),
+    max_leaves=40,
+)
+
+
+def _oracle(doc):
+    return (json.dumps(doc, sort_keys=True, indent=2) + "\n").encode()
+
+
+def _lazy(doc, rng):
+    """doc with some of its lists and tuples replaced by iterators over them."""
+    if isinstance(doc, dict):
+        return {k: _lazy(v, rng) for k, v in doc.items()}
+    if isinstance(doc, (list, tuple)):
+        items = [_lazy(x, rng) for x in doc]
+        return iter(items) if rng.random() < 0.5 else type(doc)(items)
+    return doc
+
+
+class TestJsonWriter:
+    """emit's JSON writer against its oracle, ``json.dumps(sort_keys=True, indent=2)``."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_JSON_DOCS, st.randoms(use_true_random=False))
+    def test_matches_json_dumps(self, doc, rng):
+        expected = _oracle(doc)
+        assert emit(doc, "json") == expected
+        assert emit(_lazy(doc, rng), "json") == expected
+
+    def test_empty_containers(self):
+        assert emit(iter([]), "json") == b"[]\n"
+        assert emit({"a": iter([]), "b": (), "c": {}}, "json") == _oracle({"a": [], "b": [], "c": {}})
+        assert emit([iter([]), iter([{}])], "json") == _oracle([[], [{}]])
+
+    @pytest.mark.parametrize("bad", [1.5, float("nan"), b"x", {1, 2}, object(), 1j])
+    def test_other_types_raise_type_error(self, bad):
+        for doc in (bad, [bad], [1, bad], {"a": {"b": bad}}, {"rows": iter([0, bad])}):
+            with pytest.raises(TypeError):
+                emit(doc, "json")
+
+
+_LAZY_ROWS = [("strata --d 1 --n 4", "strata"), ("blueprint --n 5", "relations"), ("crossed --g 2 --n 5", "pairs")]
+
+
+def _failing_rows(builder, key, exc):
+    """builder whose lazy rows under key raise exc after the first row."""
+
+    def build(args, fmt):
+        doc = builder(args, fmt)
+        rows = doc[key]
+
+        def rows_then_fail():
+            yield next(rows)
+            raise exc
+
+        return dict(doc, **{key: rows_then_fail()})
+
+    return build
+
+
+class TestLazyRowErrors:
+    """A builder's rows are made while emit renders; a failure there still prints nothing."""
+
+    @pytest.mark.parametrize("argv,key", _LAZY_ROWS)
+    @pytest.mark.parametrize(
+        "exc,code,prefix",
+        [(ValueError("bad row"), EXIT_RANGE, "error: bad row"), (RuntimeError("lost row"), EXIT_INTERNAL, "internal error: lost row")],
+    )
+    def test_exit_code_and_empty_stdout(self, monkeypatch, argv, key, exc, code, prefix):
+        command = argv.split()[0]
+        monkeypatch.setitem(cli._BUILDERS, command, _failing_rows(cli._BUILDERS[command], key, exc))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            got = invoke(*argv.split(), "--format", "json")
+        assert got == (code, b"")
+        assert err.getvalue() == prefix + "\n"
+
+
+class TestJsonMemory:
+    """A JSON run's traced peak stays within 4x its output, after one warm-up run fills the memos."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        ["strata --d 1 --n 6 --format json", "blueprint --n 9 --format json", "crossed --g 2 --n 7 --format json"],
+    )
+    def test_peak_is_bounded_by_output(self, argv):
+        argv = argv.split()
+        assert invoke(*argv)[0] == EXIT_OK
+        out = io.BytesIO()
+        tracemalloc.start()
+        try:
+            code = run(argv, stdout=out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_OK
+        assert peak <= 4 * len(out.getvalue()), (peak, len(out.getvalue()))
 
 
 class TestDeterminism:
