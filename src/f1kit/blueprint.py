@@ -8,18 +8,50 @@ Monomials over these generators may carry a power of f = prod_I x_I in the
 denominator (localization bookkeeping); relations are unordered sums of
 monomials on each side.
 
-Permutations of {1..n} are stored as tuples p with p[i-1] the image of i.
-Relabeling a generator index re-canonicalizes by complementation, which is
-why a quadruple's three separation patterns may trade places under the
-action; relation sets are compared accordingly.
+Each n up to _TABLE_MAX_N keeps one table of its indices (``_table``): the
+indices in sort-key order, and a map from the mask of either side of a split
+to its rank, the position of its index in that order.  ``index_set`` hands
+out those interned objects, and ``perm_action`` relabels by mapping each
+mask through the bits of the permutation and looking up the image's rank,
+which both orders the result and names its interned index, so no index is
+rebuilt and no image is complemented.
+Values whose exponents come out already canonical (sorted by index sort key,
+no repeated index, no zero exponent, one n) are assembled by
+``Monomial._canonical``; ``Monomial.__init__`` stays the one public path and
+the one place where repeated indices are merged.
+
+Permutations of {1..n} are stored as tuples p of plain ints with p[i-1] the
+image of i.  Relabeling a generator index re-canonicalizes by
+complementation, which is why a quadruple's three separation patterns may
+trade places under the action; relation sets are compared accordingly.
 """
 
 from itertools import combinations, permutations as iter_permutations
+import operator
 
 
 def _full_mask(n):
     """Mask of {1..n}."""
     return (1 << (n + 1)) - 2
+
+
+def _check_n(n):
+    if not isinstance(n, int) or n < 4:
+        raise ValueError("n must be an int >= 4")
+
+
+_PAIR_ERROR = "pairs must be two disjoint pairs of distinct markings in 1..n"
+
+
+def _pair_masks(n, pair_a, pair_b):
+    """Masks of two disjoint pairs of distinct markings in 1..n."""
+    try:
+        (i, j), (k, l) = pair_a, pair_b
+    except (TypeError, ValueError):
+        raise ValueError(_PAIR_ERROR) from None
+    if not all(isinstance(m, int) and 1 <= m <= n for m in (i, j, k, l)) or len({i, j, k, l}) < 4:
+        raise ValueError(_PAIR_ERROR)
+    return 1 << i | 1 << j, 1 << k | 1 << l
 
 
 class SubsetIndex:
@@ -28,8 +60,7 @@ class SubsetIndex:
     __slots__ = ("n", "mask", "_key", "_str")
 
     def __init__(self, n, members):
-        if not isinstance(n, int) or n < 4:
-            raise ValueError("n must be an int >= 4")
+        _check_n(n)
         mask = 0
         for m in members:
             if not isinstance(m, int) or not 1 <= m <= n:
@@ -57,9 +88,8 @@ class SubsetIndex:
 
     def separates(self, pair_a, pair_b):
         """True iff the split puts pair_a on one side and pair_b on the other."""
-        a, b = (sum({1 << m for m in pair}) for pair in (pair_a, pair_b))
-        inside, outside = self.mask, _full_mask(self.n) ^ self.mask
-        return (a & inside == a and b & outside == b) or (b & inside == b and a & outside == a)
+        a, b = _pair_masks(self.n, pair_a, pair_b)
+        return self.mask & (a | b) in (a, b)
 
     def __eq__(self, other):
         if not isinstance(other, SubsetIndex):
@@ -76,13 +106,33 @@ class SubsetIndex:
         return self._str
 
 
+# Tables are kept for n <= 12: 4,007 indices over n = 4..12 (2,035 at n = 12),
+# about 1.7 MB in all, half of it for n = 12.  A larger n builds its table on
+# each call.
+_TABLE_MAX_N = 12
+_TABLES = {}
+
+
+def _table(n):
+    """(indices in sort-key order, mask of either side -> rank) for n markings."""
+    _check_n(n)
+    table = _TABLES.get(n)
+    if table is None:
+        rest = range(2, n + 1)
+        # combinations by ascending size come out in sort-key order
+        indices = tuple(SubsetIndex(n, (1,) + extra) for k in range(1, n - 2) for extra in combinations(rest, k))
+        full = _full_mask(n)
+        rank = {i.mask: r for r, i in enumerate(indices)}
+        rank.update({full ^ mask: r for mask, r in rank.items()})
+        table = indices, rank
+        if n <= _TABLE_MAX_N:
+            _TABLES[n] = table
+    return table
+
+
 def index_set(n):
     """All canonical indices for n markings, sorted; 2^(n-1) - n - 1 of them."""
-    if not isinstance(n, int) or n < 4:
-        raise ValueError("n must be an int >= 4")
-    rest = range(2, n + 1)
-    # combinations by ascending size come out in sort-key order
-    return [SubsetIndex(n, (1,) + extra) for k in range(1, n - 2) for extra in combinations(rest, k)]
+    return list(_table(n)[0])
 
 
 def _compatible(i, j, full):
@@ -130,8 +180,7 @@ class Monomial:
     __slots__ = ("n", "exps", "f_denominator")
 
     def __init__(self, n, exps=(), f_denominator=0):
-        if not isinstance(n, int) or n < 4:
-            raise ValueError("n must be an int >= 4")
+        _check_n(n)
         if isinstance(exps, dict):
             exps = exps.items()
         cleaned = {}
@@ -150,6 +199,21 @@ class Monomial:
         )
         object.__setattr__(self, "f_denominator", f_denominator)
 
+    @classmethod
+    def _canonical(cls, n, exps, f_denominator):
+        """Monomial(n, exps, f_denominator) for exps that are already canonical.
+
+        Nothing is checked or merged.  exps must be a tuple of (index, e)
+        pairs whose indices are distinct indices for this n, in sort-key
+        order, and whose exponents are positive ints; f_denominator must be
+        a nonnegative int.
+        """
+        self = object.__new__(cls)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "exps", exps)
+        object.__setattr__(self, "f_denominator", f_denominator)
+        return self
+
     def __setattr__(self, name, value):
         raise AttributeError("Monomial is immutable")
 
@@ -162,7 +226,7 @@ class Monomial:
         return [idx for idx, _ in self.exps]
 
     def sort_key(self):
-        return (self.f_denominator, tuple((idx.sort_key(), e) for idx, e in self.exps))
+        return (self.f_denominator, tuple([(idx._key, e) for idx, e in self.exps]))
 
     def __eq__(self, other):
         if not isinstance(other, Monomial):
@@ -179,10 +243,7 @@ class Monomial:
         if not self.exps:
             body = "1"
         else:
-            parts = []
-            for idx, e in self.exps:
-                parts.append("x%s" % idx if e == 1 else "x%s^%d" % (idx, e))
-            body = "*".join(parts)
+            body = "*".join(["x" + idx._str if e == 1 else "x%s^%d" % (idx._str, e) for idx, e in self.exps])
         if self.f_denominator == 0:
             return body
         if self.f_denominator == 1:
@@ -191,7 +252,7 @@ class Monomial:
 
     def to_json(self):
         return {
-            "exps": [[list(idx.sort_key()[1]), e] for idx, e in self.exps],
+            "exps": [[list(idx._key[1]), e] for idx, e in self.exps],
             "fpow": self.f_denominator,
         }
 
@@ -202,7 +263,7 @@ def unit_monomial(n):
 
 def full_product_monomial(n):
     """f = product of every generator; fixed by all relabelings."""
-    return Monomial(n, {idx: 1 for idx in index_set(n)})
+    return Monomial._canonical(n, tuple((idx, 1) for idx in _table(n)[0]), 0)
 
 
 class BlueprintRel:
@@ -250,8 +311,10 @@ class BlueprintRel:
 
 def separation_monomial(n, pair_a, pair_b):
     """Product of x_I over every split separating pair_a from pair_b."""
-    exps = {idx: 1 for idx in index_set(n) if idx.separates(pair_a, pair_b)}
-    return Monomial(n, exps)
+    indices = _table(n)[0]
+    a, b = _pair_masks(n, pair_a, pair_b)
+    both = a | b
+    return Monomial._canonical(n, tuple((idx, 1) for idx in indices if idx.mask & both in (a, b)), 0)
 
 
 def plucker_relations(n):
@@ -260,20 +323,21 @@ def plucker_relations(n):
     For the quadruple the sides are m(ij|kl) + m(il|jk) == m(ik|jl), the
     right side being the crossing pattern of the sorted quadruple.
     """
-    splits = index_set(n)
+    # one (index, 1) pair per split, shared by every relation it enters
+    units = [(idx.mask, (idx, 1)) for idx in _table(n)[0]]
     out = []
     for i, j, k, l in combinations(range(1, n + 1), 4):
         bi, bj, bk, bl = 1 << i, 1 << j, 1 << k, 1 << l
         quad = bi | bj | bk | bl
         # a split separates a pattern iff it holds one of the pattern's pairs
-        # on its own side: 0 = (ij|kl), 1 = (il|jk), 2 = (ik|jl)
-        pattern = {bi | bj: 0, bk | bl: 0, bi | bl: 1, bj | bk: 1, bi | bk: 2, bj | bl: 2}
-        sides = ([], [], [])
-        for idx in splits:
-            p = pattern.get(idx.mask & quad)
-            if p is not None:
-                sides[p].append((idx, 1))
-        ij_kl, il_jk, ik_jl = (Monomial(n, s) for s in sides)
+        # on its own side
+        ij_kl, il_jk, ik_jl = [], [], []
+        side_of = {bi | bj: ij_kl, bk | bl: ij_kl, bi | bl: il_jk, bj | bk: il_jk, bi | bk: ik_jl, bj | bl: ik_jl}
+        for mask, unit in units:
+            side = side_of.get(mask & quad)
+            if side is not None:
+                side.append(unit)
+        ij_kl, il_jk, ik_jl = (Monomial._canonical(n, tuple(s), 0) for s in (ij_kl, il_jk, ik_jl))
         out.append(BlueprintRel([ij_kl, il_jk], [ik_jl]))
     return out
 
@@ -293,8 +357,8 @@ def clear_denominators(rel):
 def _shifted(rel, k):
     """The relation with every monomial's f-denominator raised by k."""
     return BlueprintRel(
-        [Monomial(m.n, m.exps, m.f_denominator + k) for m in rel.left],
-        [Monomial(m.n, m.exps, m.f_denominator + k) for m in rel.right],
+        [Monomial._canonical(m.n, m.exps, m.f_denominator + k) for m in rel.left],
+        [Monomial._canonical(m.n, m.exps, m.f_denominator + k) for m in rel.right],
     )
 
 
@@ -302,8 +366,14 @@ def _shifted(rel, k):
 
 
 def _check_perm(pi, n):
-    if len(pi) != n or sorted(pi) != list(range(1, n + 1)):
+    """pi as a tuple of plain ints, if it permutes 1..n; a bool counts as its int."""
+    try:
+        p = tuple(map(operator.index, pi))
+    except TypeError:
+        p = None
+    if p is None or sorted(p) != list(range(1, n + 1)):
         raise ValueError("perm must be a permutation tuple of 1..n")
+    return p
 
 
 def identity_perm(n):
@@ -333,12 +403,27 @@ def perm_action(pi, mono):
     """Relabel every generator index and re-canonicalize by complementation.
 
     f is fixed, and the set of three-term relations is carried into itself
-    up to the induced permutation of separation patterns.
+    up to the induced permutation of separation patterns.  Distinct indices
+    have distinct images, so nothing merges.
     """
+    if not isinstance(mono, Monomial):
+        raise ValueError("perm_action needs a Monomial")
+    return _relabel(_check_perm(pi, mono.n), mono)
+
+
+def _relabel(pi, mono):
+    """perm_action for a permutation already checked against mono.n."""
     n = mono.n
-    _check_perm(pi, n)
-    images = [(SubsetIndex(n, [pi[i - 1] for i in idx.sort_key()[1]]), e) for idx, e in mono.exps]
-    return Monomial(n, images, mono.f_denominator)
+    if n > _TABLE_MAX_N:
+        # a table built per call would cost 2^(n-1) indices: build each
+        # image from its members
+        images = [(SubsetIndex(n, [pi[i - 1] for i in idx._key[1]]), e) for idx, e in mono.exps]
+        return Monomial(n, images, mono.f_denominator)
+    indices, rank = _table(n)
+    bit = ((0,) + tuple(1 << v for v in pi)).__getitem__
+    # distinct members have distinct bits, so a sum of bits is their union
+    images = sorted([(rank[sum(map(bit, idx._key[1]))], e) for idx, e in mono.exps])
+    return Monomial._canonical(n, tuple([(indices[r], e) for r, e in images]), mono.f_denominator)
 
 
 def perm_relation(pi, rel):
@@ -380,17 +465,32 @@ def centralizer_subgroup(g):
 class CrossedElem:
     """Formal sum of monomials tagged by one group element."""
 
-    __slots__ = ("n", "summands", "perm")
+    __slots__ = ("n", "summands", "perm", "_body")
 
     def __init__(self, n, summands, perm):
+        summands = tuple(summands)
+        if not all(isinstance(m, Monomial) and m.n == n for m in summands):
+            raise ValueError("summands must live over the same index set")
         summands = tuple(sorted(summands, key=Monomial.sort_key))
-        for m in summands:
-            if m.n != n:
-                raise ValueError("summands must live over the same index set")
-        _check_perm(perm, n)
+        self._fill(n, summands, _check_perm(perm, n), None)
+
+    @classmethod
+    def _tagged(cls, n, summands, body, perm):
+        """CrossedElem(n, summands, perm) from parts that are already checked.
+
+        summands must be a tuple of monomials over n in sort-key order, body
+        their string as ``__str__`` prints it, and perm a tuple of plain ints
+        permuting 1..n.
+        """
+        self = object.__new__(cls)
+        self._fill(n, summands, perm, body)
+        return self
+
+    def _fill(self, n, summands, perm, body):
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "summands", summands)
-        object.__setattr__(self, "perm", tuple(perm))
+        object.__setattr__(self, "perm", perm)
+        object.__setattr__(self, "_body", body)
 
     def __setattr__(self, name, value):
         raise AttributeError("CrossedElem is immutable")
@@ -407,11 +507,15 @@ class CrossedElem:
         return "CrossedElem(%d, %r, %r)" % (self.n, self.summands, self.perm)
 
     def __str__(self):
-        body = " + ".join(str(m) for m in self.summands) if self.summands else "0"
-        return "(%s ; [%s])" % (body, ",".join(str(v) for v in self.perm))
+        body = _sum_str(self.summands) if self._body is None else self._body
+        return "(%s ; [%s])" % (body, ",".join(map(str, self.perm)))
 
     def to_json(self):
         return {"sum": [m.to_json() for m in self.summands], "perm": list(self.perm)}
+
+
+def _sum_str(summands):
+    return " + ".join(str(m) for m in summands) if summands else "0"
 
 
 def crossed_identity(n):
@@ -422,15 +526,26 @@ def crossed_mul(x, y):
     """Twisted product (a, g)(a', g') = (a g(a'), g g')."""
     if not isinstance(x, CrossedElem) or not isinstance(y, CrossedElem) or x.n != y.n:
         raise ValueError("incompatible crossed-product carriers")
-    summands = [a * perm_action(x.perm, b) for a in x.summands for b in y.summands]
+    moved = [_relabel(x.perm, b) for b in y.summands]
+    summands = [a * b for a in x.summands for b in moved]
     return CrossedElem(x.n, summands, compose_perm(x.perm, y.perm))
 
 
 def crossed_relations(rels, group):
-    """Tag both sides of every relation with every group element."""
+    """Tag both sides of every relation with every group element.
+
+    Each side keeps its sorted tuple, builds its string once and shares both
+    with all of its tagged copies; each group element is checked once per n.
+    """
+    perms = {}
     out = []
     for rel in rels:
-        for g in group:
-            n = rel.left[0].n
-            out.append((CrossedElem(n, rel.left, g), CrossedElem(n, rel.right, g)))
+        n = rel.left[0].n
+        if n not in perms:
+            perms[n] = [_check_perm(g, n) for g in group]
+        if perms[n] and any(m.n != n for m in rel.monomials()):
+            raise ValueError("summands must live over the same index set")
+        left, right = _sum_str(rel.left), _sum_str(rel.right)
+        for g in perms[n]:
+            out.append((CrossedElem._tagged(n, rel.left, left, g), CrossedElem._tagged(n, rel.right, right, g)))
     return out

@@ -422,3 +422,240 @@ class TestInputChecks:
     def test_monomial_checks_n(self, n):
         with pytest.raises(ValueError, match=r"^n must be an int >= 4$"):
             Monomial(n)
+
+
+# -- relabeling oracles: perm_action, plucker_relations and crossed_relations
+# as they were before the interned index table, built only from public
+# constructors --------------------------------------------------------------
+
+
+def parent_index_set(n):
+    rest = range(2, n + 1)
+    return [SubsetIndex(n, (1,) + extra) for k in range(1, n - 2) for extra in combinations(rest, k)]
+
+
+def parent_perm_action(pi, mono):
+    n = mono.n
+    if len(pi) != n or sorted(pi) != list(range(1, n + 1)):
+        raise ValueError("perm must be a permutation tuple of 1..n")
+    images = [(SubsetIndex(n, [pi[i - 1] for i in index.sort_key()[1]]), e) for index, e in mono.exps]
+    return Monomial(n, images, mono.f_denominator)
+
+
+def parent_plucker_relations(n):
+    splits = parent_index_set(n)
+    out = []
+    for i, j, k, l in combinations(range(1, n + 1), 4):
+        bi, bj, bk, bl = 1 << i, 1 << j, 1 << k, 1 << l
+        quad = bi | bj | bk | bl
+        pattern = {bi | bj: 0, bk | bl: 0, bi | bl: 1, bj | bk: 1, bi | bk: 2, bj | bl: 2}
+        sides = ([], [], [])
+        for index in splits:
+            p = pattern.get(index.mask & quad)
+            if p is not None:
+                sides[p].append((index, 1))
+        ij_kl, il_jk, ik_jl = (Monomial(n, s) for s in sides)
+        out.append(BlueprintRel([ij_kl, il_jk], [ik_jl]))
+    return out
+
+
+def parent_crossed_relations(rels, group):
+    out = []
+    for rel in rels:
+        for g in group:
+            n = rel.left[0].n
+            out.append((CrossedElem(n, rel.left, g), CrossedElem(n, rel.right, g)))
+    return out
+
+
+def parent_shifted(rel, k):
+    return BlueprintRel(
+        [Monomial(m.n, m.exps, m.f_denominator + k) for m in rel.left],
+        [Monomial(m.n, m.exps, m.f_denominator + k) for m in rel.right],
+    )
+
+
+def assert_same_monomial(got, want):
+    assert got.exps == want.exps
+    assert got == want
+    assert hash(got) == hash(want)
+    assert str(got) == str(want)
+    assert repr(got) == repr(want)
+    assert got.sort_key() == want.sort_key()
+    assert got.to_json() == want.to_json()
+
+
+def assert_same_relation(got, want):
+    assert got == want
+    assert hash(got) == hash(want)
+    assert str(got) == str(want)
+    assert repr(got) == repr(want)
+    for a, b in zip(got.monomials(), want.monomials(), strict=True):
+        assert_same_monomial(a, b)
+
+
+def assert_same_crossed(got, want):
+    assert got == want
+    assert hash(got) == hash(want)
+    assert str(got) == str(want)
+    assert repr(got) == repr(want)
+    assert got.perm == want.perm
+    assert got.to_json() == want.to_json()
+    for a, b in zip(got.summands, want.summands, strict=True):
+        assert_same_monomial(a, b)
+
+
+@st.composite
+def monomials(draw, n, max_size=6):
+    """Monomials over n markings, f-powers and repeated indices included."""
+    support = st.sampled_from(parent_index_set(n))
+    exps = draw(st.lists(st.tuples(support, st.integers(0, 3)), max_size=max_size))
+    return Monomial(n, exps, draw(st.integers(0, 3)))
+
+
+@st.composite
+def relabel_cases(draw, low=4, high=9):
+    n = draw(st.integers(low, high))
+    return n, tuple(draw(st.permutations(range(1, n + 1)))), draw(monomials(n))
+
+
+class TestRelabelOracles:
+    @settings(max_examples=300, deadline=None)
+    @given(relabel_cases())
+    def test_perm_action(self, case):
+        n, pi, mono = case
+        assert_same_monomial(perm_action(pi, mono), parent_perm_action(pi, mono))
+
+    @settings(max_examples=10, deadline=None)
+    @given(relabel_cases(13, 14))
+    def test_perm_action_beyond_the_table(self, case):
+        n, pi, mono = case
+        assert_same_monomial(perm_action(pi, mono), parent_perm_action(pi, mono))
+
+    @pytest.mark.parametrize("n", range(4, 8))
+    def test_perm_action_fixes_full_product(self, n):
+        f = full_product_monomial(n)
+        assert_same_monomial(f, Monomial(n, {index: 1 for index in parent_index_set(n)}))
+        rng = random.Random(n)
+        for _ in range(20):
+            pi = list(range(1, n + 1))
+            rng.shuffle(pi)
+            assert_same_monomial(perm_action(tuple(pi), f), parent_perm_action(tuple(pi), f))
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(4, 9).flatmap(lambda n: st.tuples(
+        st.just(n), st.permutations(range(1, n + 1)), st.integers(0, 100), st.integers(0, 3)
+    )))
+    def test_perm_relation_and_shift(self, case):
+        n, pi, pick, k = case
+        rel = parent_plucker_relations(n)[pick % comb(n, 4)]
+        want = BlueprintRel(
+            [parent_perm_action(pi, m) for m in rel.left], [parent_perm_action(pi, m) for m in rel.right]
+        )
+        assert_same_relation(perm_relation(tuple(pi), rel), want)
+        assert_same_relation(localize_relation(want, k), parent_shifted(want, k))
+        assert_same_relation(clear_denominators(parent_shifted(want, k)), want)
+
+    @pytest.mark.parametrize("n", range(4, 10))
+    def test_plucker_relations(self, n):
+        for got, want in zip(plucker_relations(n), parent_plucker_relations(n), strict=True):
+            assert_same_relation(got, want)
+
+    @pytest.mark.parametrize("g,n", [(1, 4), (1, 5), (2, 5), (2, 6), (1, 7), (3, 7)])
+    def test_crossed_relations(self, g, n):
+        rels = parent_plucker_relations(n)
+        group = [embed_perm(p, n) for p in centralizer_subgroup(g)]
+        got, want = crossed_relations(rels, group), parent_crossed_relations(rels, group)
+        assert len(got) == len(want)
+        for (a, b), (c, d) in zip(got, want):
+            assert_same_crossed(a, c)
+            assert_same_crossed(b, d)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(4, 9).flatmap(lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.permutations(range(1, n + 1)).map(tuple), min_size=1, max_size=4),
+        st.lists(st.integers(0, 200), min_size=1, max_size=4),
+        st.integers(0, 2),
+    )))
+    def test_crossed_relations_of_any_group(self, case):
+        n, group, picks, k = case
+        rels = parent_plucker_relations(n)
+        rels = [parent_shifted(rels[p % len(rels)], k) for p in picks]
+        got, want = crossed_relations(rels, group), parent_crossed_relations(rels, group)
+        assert len(got) == len(want)
+        for (a, b), (c, d) in zip(got, want):
+            assert_same_crossed(a, c)
+            assert_same_crossed(b, d)
+
+    def test_crossed_relations_check_every_side(self):
+        rel5, rel6 = plucker_relations(5)[0], plucker_relations(6)[0]
+        with pytest.raises(ValueError, match=r"^perm must be a permutation tuple of 1\.\.n$"):
+            crossed_relations([rel5, rel6], [identity_perm(5)])
+        mixed = BlueprintRel(rel5.left, rel6.right)
+        with pytest.raises(ValueError, match=r"^summands must live over the same index set$"):
+            crossed_relations([mixed], [identity_perm(5)])
+        assert crossed_relations([], [(1, 1)]) == []
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(4, 9).flatmap(lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.tuples(st.sampled_from(parent_index_set(n)), st.integers(1, 5)), max_size=8),
+        st.integers(0, 4),
+    )))
+    def test_canonical_constructor(self, case):
+        # every input meeting the private constructor's invariants: sorted by
+        # index sort key, no repeated index, positive exponents, one n
+        n, exps, fpow = case
+        canonical = tuple(sorted(dict(exps).items(), key=lambda p: p[0].sort_key()))
+        got = Monomial._canonical(n, canonical, fpow)
+        assert_same_monomial(got, Monomial(n, dict(exps), fpow))
+        assert_same_monomial(got, Monomial(n, canonical, fpow))
+
+
+class TestBoundedMemory:
+    def test_only_small_tables_are_kept(self):
+        from f1kit import blueprint
+
+        for n in range(4, 15):
+            got = index_set(n)
+            assert got == parent_index_set(n)
+            assert [str(i) for i in got] == [str(i) for i in parent_index_set(n)]
+        assert blueprint._TABLE_MAX_N < 13
+        assert set(blueprint._TABLES) <= set(range(4, blueprint._TABLE_MAX_N + 1))
+
+    def test_index_set_hands_out_the_interned_indices(self):
+        a, b = index_set(7), index_set(7)
+        assert a == b and a is not b
+        assert all(x is y for x, y in zip(a, b))
+        a.clear()
+        assert len(index_set(7)) == 2**6 - 8
+
+    def test_perm_action_retains_nothing(self):
+        # the first 1,000 calls fill the interpreter's free lists, the next
+        # 1,000 (other permutations, other monomials) must leave nothing behind
+        import gc
+        import tracemalloc
+
+        rng = random.Random(2013)
+        cases = []
+        for _ in range(2000):
+            n = rng.randint(4, 12)
+            pi = list(range(1, n + 1))
+            rng.shuffle(pi)
+            indices = index_set(n)
+            support = rng.sample(indices, rng.randint(0, min(5, len(indices))))
+            cases.append((tuple(pi), Monomial(n, {i: rng.randint(1, 3) for i in support}, rng.randint(0, 2))))
+        tracemalloc.start()
+        try:
+            for pi, mono in cases[:1000]:
+                perm_action(pi, mono)
+            gc.collect()
+            before = tracemalloc.get_traced_memory()[0]
+            for pi, mono in cases[1000:]:
+                perm_action(pi, mono)
+            gc.collect()
+            after = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert after - before < 2048
