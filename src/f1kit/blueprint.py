@@ -272,12 +272,14 @@ class BlueprintRel:
     __slots__ = ("left", "right")
 
     def __init__(self, left, right):
-        left = tuple(sorted(left, key=Monomial.sort_key))
-        right = tuple(sorted(right, key=Monomial.sort_key))
+        left, right = tuple(left), tuple(right)
         if not left or not right:
             raise ValueError("both sides must be nonempty")
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
+        n = getattr(left[0], "n", None)
+        if not all(isinstance(m, Monomial) and m.n == n for m in left + right):
+            raise ValueError("summands must live over the same index set")
+        object.__setattr__(self, "left", tuple(sorted(left, key=Monomial.sort_key)))
+        object.__setattr__(self, "right", tuple(sorted(right, key=Monomial.sort_key)))
 
     def __setattr__(self, name, value):
         raise AttributeError("BlueprintRel is immutable")
@@ -427,11 +429,16 @@ def _relabel(pi, mono):
 
 
 def perm_relation(pi, rel):
+    if not isinstance(rel, BlueprintRel):
+        raise ValueError("perm_relation needs a BlueprintRel")
     return BlueprintRel([perm_action(pi, m) for m in rel.left], [perm_action(pi, m) for m in rel.right])
 
 
 def relation_triples(rels):
     """Relations as unordered monomial multisets, for action-invariance checks."""
+    rels = list(rels)
+    if not all(isinstance(r, BlueprintRel) for r in rels):
+        raise ValueError("relation_triples needs BlueprintRels")
     return {tuple(sorted(r.monomials(), key=Monomial.sort_key)) for r in rels}
 
 
@@ -543,8 +550,6 @@ def crossed_relations(rels, group):
         n = rel.left[0].n
         if n not in perms:
             perms[n] = [_check_perm(g, n) for g in group]
-        if perms[n] and any(m.n != n for m in rel.monomials()):
-            raise ValueError("summands must live over the same index set")
         left, right = _sum_str(rel.left), _sum_str(rel.right)
         for g in perms[n]:
             out.append((CrossedElem._tagged(n, rel.left, left, g), CrossedElem._tagged(n, rel.right, right, g)))

@@ -1,21 +1,20 @@
 """Oriented rooted trees with labeled input tails, and their operad.
 
-A tree's value is its nested form: a vertex is a pair (inputs, children) of
-its input labels and the nested forms of its child subtrees.  The canonical
+A tree is its nested form: a vertex is a pair (inputs, children) of its
+input labels and the nested forms of its child subtrees.  The canonical
 form sorts the inputs by label and the children by their serialization, which
 is also the JSON form ``{"inputs": [...], "children": [...]}``; equality is
 isomorphism respecting the root and the input labels, decided by that form.
-Composition, forgetting a marking, relabeling and the strata work on forms.
+Composition, forgetting a marking, relabeling, grafting, edge contraction
+and the strata all work on forms.
 
-The flag-level view is built from the form on demand: a set of half-edges
+The flag-level view is derived from the form on demand: a set of half-edges
 (flags), a boundary map flag -> vertex, and an involution pairing flags into
 edges (fixed points are tails).  One involution-fixed flag is the root tail,
-the output; all other tails are inputs and carry marking labels.
-Orientation toward the root is derived, never stored.  Vertices and flags
-are numbered in preorder of the form the tree was given.  A tree can also be
-given by flag data, which is checked; grafting and edge contraction work on
-flags and return such trees.  A grafted tree tags the ids of its host
-("h", x) and those of its k-th guest ("a", k, x).
+the output; all other tails are inputs and carry marking labels.  Vertices
+and flags are numbered in preorder of the form the tree holds, so flag ids
+read off a tree name the same flags in that tree only.  A tree can also be
+given by flag data, which is checked and turned into its form.
 
 Trees are immutable and every operation returns a new tree, so values can
 be shared freely.
@@ -36,93 +35,32 @@ def _label_key(x):
     return (x.__class__.__name__, x)
 
 
-# the flag-level view; a tree given by its nested form builds it on first use
-_FLAG_DATA = frozenset(
-    ("flags", "vertices", "boundary", "involution", "root_tail", "input_labels", "_flags_at", "_depth", "_out_flag")
-)
+# the flag-level view, built from the form on first use, in _flag_view's order
+_FLAG_DATA = ("flags", "vertices", "boundary", "involution", "root_tail", "input_labels", "_flags_at", "_depth", "_out_flag")
 
 
 class RootedTree:
-    __slots__ = tuple(sorted(_FLAG_DATA)) + ("_form", "_nested", "_canon")
+    __slots__ = _FLAG_DATA + ("_form", "_nested", "_canon")
 
     def __init__(self, flags=None, vertices=None, boundary=None, involution=None, root_tail=None,
                  input_labels=None, *, form=None, canonical=False):
-        """A tree from checked flag data, or from a nested form.
+        """A tree from a nested form, or from flag data, which is checked and made a form.
 
         ``RootedTree(form=f)`` stores f, whose labels must be distinct (see
         from_nested); ``canonical=True`` says f is already canonical.
         """
+        if form is None:
+            form = _form_of_flags(flags, vertices, boundary, involution, root_tail, input_labels)
+        object.__setattr__(self, "_form", form)
+        object.__setattr__(self, "_nested", form if canonical else None)
         object.__setattr__(self, "_canon", None)
-        if form is not None:
-            object.__setattr__(self, "_form", form)
-            object.__setattr__(self, "_nested", form if canonical else None)
-            return
-        object.__setattr__(self, "_form", None)
-        object.__setattr__(self, "_nested", None)
-        flags = frozenset(flags)
-        vertices = frozenset(vertices)
-        boundary = dict(boundary)
-        involution = dict(involution)
-        input_labels = dict(input_labels)
-
-        if set(involution) != flags or set(boundary) != flags:
-            raise ValueError("boundary and involution must be defined exactly on the flags")
-        for f, g in involution.items():
-            if g not in flags or involution[g] != f:
-                raise ValueError("involution must square to the identity")
-        if not set(boundary.values()) <= vertices:
-            raise ValueError("boundary image must lie in the vertex set")
-        if root_tail not in flags or involution[root_tail] != root_tail:
-            raise ValueError("root tail must be an involution-fixed flag")
-
-        tails = {f for f in flags if involution[f] == f}
-        marked = set(input_labels.values())
-        if len(marked) != len(input_labels) or marked != tails - {root_tail}:
-            raise ValueError("input labels must biject onto the non-root tails")
-
-        edges = {frozenset((f, involution[f])) for f in flags if involution[f] != f}
-        if len(vertices) != len(edges) + 1:
-            raise ValueError("flag data is not a tree (vertex/edge count)")
-        self._store_flags(flags, vertices, boundary, involution, root_tail, input_labels)
-
-    def _store_flags(self, flags, vertices, boundary, involution, root_tail, input_labels):
-        flags_at = {v: set() for v in vertices}
-        for f, v in boundary.items():
-            flags_at[v].add(f)
-        # orientation toward the root; also proves connectivity
-        root_vertex = boundary[root_tail]
-        depth = {root_vertex: 0}
-        out_flag = {root_vertex: root_tail}
-        frontier = [root_vertex]
-        while frontier:
-            v = frontier.pop()
-            for f in flags_at[v]:
-                g = involution[f]
-                if g == f:
-                    continue
-                w = boundary[g]
-                if w not in depth:
-                    depth[w] = depth[v] + 1
-                    out_flag[w] = g
-                    frontier.append(w)
-        if len(depth) != len(vertices):
-            raise ValueError("flag data is not a tree (disconnected)")
-
-        object.__setattr__(self, "flags", flags)
-        object.__setattr__(self, "vertices", vertices)
-        object.__setattr__(self, "boundary", boundary)
-        object.__setattr__(self, "involution", involution)
-        object.__setattr__(self, "root_tail", root_tail)
-        object.__setattr__(self, "input_labels", input_labels)
-        object.__setattr__(self, "_flags_at", flags_at)
-        object.__setattr__(self, "_depth", depth)
-        object.__setattr__(self, "_out_flag", out_flag)
 
     def __getattr__(self, name):
-        # reached only for a slot not yet set: the flag data of a form
-        if name not in _FLAG_DATA or self._form is None:
+        # reached only for a slot not yet set: the flag view of the form
+        if name not in _FLAG_DATA:
             raise AttributeError(name)
-        self._store_flags(*_flags_of_form(self._form))
+        for key, value in zip(_FLAG_DATA, _flag_view(self._form)):
+            object.__setattr__(self, key, value)
         return getattr(self, name)
 
     def __setattr__(self, name, value):
@@ -136,7 +74,7 @@ class RootedTree:
 
     @property
     def markings(self):
-        return frozenset(self.input_labels if self._form is None else _labels(self._form))
+        return frozenset(_labels(self._form))
 
     def input_count(self):
         return len(self.markings)
@@ -153,13 +91,8 @@ class RootedTree:
         return self._depth[v]
 
     def children(self, v):
-        """Child vertices of v, via the edges not pointing toward the root."""
-        out = []
-        for f in self._flags_at[v]:
-            g = self.involution[f]
-            if g != f and self._out_flag[self.boundary[g]] == g:
-                out.append(self.boundary[g])
-        return out
+        """Child vertices of v, via its edges other than the outgoing one (listed first)."""
+        return [self.boundary[self.involution[f]] for f in self._flags_at[v][1:] if self.involution[f] != f]
 
     def mother(self, v):
         if v == self.root_vertex:
@@ -168,32 +101,18 @@ class RootedTree:
 
     def vertex_count(self):
         """Number of vertices, read off the form without building the flag view."""
-        return len(_in_degrees(self._shape()))
+        return len(_in_degrees(self._form))
 
     def is_stable(self):
         """Every vertex carries at least two incoming flags (tails or child edges)."""
-        return all(k >= 2 for k in _in_degrees(self._shape()))
+        return all(k >= 2 for k in _in_degrees(self._form))
 
     # -- canonical form and serialization ----------------------------------
 
-    def _shape(self):
-        # the form the tree was given by; the canonical one for flag data
-        return self.to_nested() if self._form is None else self._form
-
     def to_nested(self):
         if self._nested is None:
-            if self._form is None:
-                nested = self._nested_from_flags(self.root_vertex)
-            else:
-                nested = _canonical(self._form)
-            object.__setattr__(self, "_nested", nested)
+            object.__setattr__(self, "_nested", _canonical(self._form))
         return self._nested
-
-    def _nested_from_flags(self, v):
-        return _vertex(
-            (m for m, f in self.input_labels.items() if self.boundary[f] == v),
-            (self._nested_from_flags(w) for w in self.children(v)),
-        )
 
     def canonical_str(self):
         if self._canon is None:
@@ -292,44 +211,93 @@ def _in_degrees(form):
     return out
 
 
-def _flags_of_form(form):
-    """Flag data of a nested form: vertices and flags numbered in preorder."""
-    flags = []
-    vertices = []
+def _flag_view(form):
+    """The flag view of a nested form, in one preorder pass, as listed in _FLAG_DATA.
+
+    Flag 0 is the root tail.  Each vertex numbers its input tails, then for
+    each child the flag at the vertex and the child's outgoing flag, before
+    the child's own flags.
+    """
     boundary = {}
-    involution = {}
+    involution = {0: 0}
     input_labels = {}
-    counter = [0]
+    flags_at = {}
+    depth = {}
+    out_flag = {}
 
-    def fresh():
-        counter[0] += 1
-        return counter[0]
-
-    def build(node, incoming_flag):
+    def build(node, out, d):
         inputs, subs = node
-        v = len(vertices)
-        vertices.append(v)
-        boundary[incoming_flag] = v
+        v = len(depth)
+        boundary[out] = v
+        at = flags_at[v] = [out]
+        depth[v] = d
+        out_flag[v] = out
         for m in inputs:
-            f = fresh()
-            flags.append(f)
+            f = len(boundary)
             boundary[f] = v
             involution[f] = f
             input_labels[m] = f
+            at.append(f)
         for sub in subs:
-            up, down = fresh(), fresh()
-            flags.append(up)
-            flags.append(down)
-            involution[up] = down
-            involution[down] = up
+            up = len(boundary)
             boundary[up] = v
-            build(sub, down)
+            involution[up], involution[up + 1] = up + 1, up
+            at.append(up)
+            build(sub, up + 1, d + 1)
 
-    root_tail = 0
-    flags.append(root_tail)
-    involution[root_tail] = root_tail
-    build(form, root_tail)
-    return frozenset(flags), frozenset(vertices), boundary, involution, root_tail, input_labels
+    build(form, 0, 0)
+    return frozenset(boundary), frozenset(depth), boundary, involution, 0, input_labels, flags_at, depth, out_flag
+
+
+def _form_of_flags(flags, vertices, boundary, involution, root_tail, input_labels):
+    """The form of checked flag data.
+
+    A depth-first walk from the root tail lists each vertex's inputs and
+    children in the order of ``boundary``, so the flag data of a tree gives
+    back its form; ids are only hashed, never compared.
+    """
+    flags, vertices = frozenset(flags), frozenset(vertices)
+    boundary, involution, input_labels = dict(boundary), dict(involution), dict(input_labels)
+
+    if set(involution) != flags or set(boundary) != flags:
+        raise ValueError("boundary and involution must be defined exactly on the flags")
+    for f, g in involution.items():
+        if g not in flags or involution[g] != f:
+            raise ValueError("involution must square to the identity")
+    if not set(boundary.values()) <= vertices:
+        raise ValueError("boundary image must lie in the vertex set")
+    if root_tail not in flags or involution[root_tail] != root_tail:
+        raise ValueError("root tail must be an involution-fixed flag")
+
+    tails = {f for f in flags if involution[f] == f}
+    marked = set(input_labels.values())
+    if len(marked) != len(input_labels) or marked != tails - {root_tail}:
+        raise ValueError("input labels must biject onto the non-root tails")
+
+    edges = {frozenset((f, involution[f])) for f in flags if involution[f] != f}
+    if len(vertices) != len(edges) + 1:
+        raise ValueError("flag data is not a tree (vertex/edge count)")
+
+    flags_at = {v: [] for v in vertices}
+    for f, v in boundary.items():
+        flags_at[v].append(f)
+    label = {f: m for m, f in input_labels.items()}
+    seen = set()
+
+    def walk(out):
+        v = boundary[out]
+        if v in seen:
+            # a cycle: with one vertex more than edges, some vertex is cut off
+            raise ValueError("flag data is not a tree (disconnected)")
+        seen.add(v)
+        at = flags_at[v]
+        inputs = tuple(label[f] for f in at if f in label)
+        return (inputs, tuple(walk(involution[f]) for f in at if f != out and involution[f] != f))
+
+    form = walk(root_tail)
+    if len(seen) != len(vertices):
+        raise ValueError("flag data is not a tree (disconnected)")
+    return form
 
 
 # -- elementary morphisms ---------------------------------------------------
@@ -351,39 +319,43 @@ def _graft(tau, sigma, input_flag):
     consumed = next(m for m, f in sigma.input_labels.items() if f == input_flag)
     if tau.markings & (sigma.markings - {consumed}):
         raise ValueError("marking labels collide; relabel before grafting")
-    tree, (edge,) = _glue(sigma, [(input_flag, tau)])
+    tree, (edge,) = _plugged(sigma, {consumed: tau})
     return tree, edge
 
 
-def _glue(host, plugs):
-    """Flag-level union of host and guests with one new edge per plug.
+def _plugged(host, guests):
+    """Graft guests[m] into the input m of host, for every key m.
 
-    plugs[k] = (tail, guest) joins guest k's root tail to the host input
-    tail; host ids are tagged ("h", x) and guest k's ("a", k, x).  Returns
-    the tree and the tuple of new edges.
+    Each guest's form becomes a child of the vertex holding m, after that
+    vertex's own children.  Returns the tree and the new edges, read off its
+    flag view, in the order of guests.
     """
-    flags = [("h", f) for f in host.flags]
-    vertices = [("h", v) for v in host.vertices]
-    boundary = {("h", f): ("h", v) for f, v in host.boundary.items()}
-    involution = {("h", f): ("h", g) for f, g in host.involution.items()}
-    plugged = {tail for tail, _ in plugs}
-    input_labels = {m: ("h", f) for m, f in host.input_labels.items() if f not in plugged}
-    new_edges = []
-    for k, (tail, guest) in enumerate(plugs):
-        flags.extend(("a", k, f) for f in guest.flags)
-        vertices.extend(("a", k, v) for v in guest.vertices)
-        boundary.update({("a", k, f): ("a", k, v) for f, v in guest.boundary.items()})
-        involution.update({("a", k, f): ("a", k, g) for f, g in guest.involution.items()})
-        input_labels.update({m: ("a", k, f) for m, f in guest.input_labels.items()})
-        ends = (("h", tail), ("a", k, guest.root_tail))
-        involution[ends[0]], involution[ends[1]] = ends[1], ends[0]
-        new_edges.append(frozenset(ends))
-    tree = RootedTree(flags, vertices, boundary, involution, ("h", host.root_tail), input_labels)
-    return tree, tuple(new_edges)
+    roots = {}
+    count = 0
+
+    def plug(node):
+        nonlocal count
+        count += 1
+        subs = [plug(sub) for sub in node[1]]
+        for m in node[0]:
+            if m in guests:
+                # preorder puts the guest's root after every vertex so far
+                roots[m] = count
+                count += guests[m].vertex_count()
+                subs.append(guests[m]._form)
+        return (tuple(m for m in node[0] if m not in guests), tuple(subs))
+
+    tree = RootedTree(form=plug(host._form))
+    out = tree._out_flag
+    return tree, tuple(frozenset((out[roots[m]], tree.involution[out[roots[m]]])) for m in guests)
 
 
 def contract_edge(tau, edge):
-    """Contract a two-flag involution orbit, merging its endpoints."""
+    """Contract a two-flag involution orbit, merging its endpoints.
+
+    The child vertex is spliced into its mother: its inputs join hers and its
+    children take its place, so later vertices move down one in preorder.
+    """
     edge = frozenset(edge)
     if len(edge) != 2:
         raise ValueError("an edge consists of two distinct flags")
@@ -392,13 +364,23 @@ def contract_edge(tau, edge):
     f, g = sorted(edge, key=lambda x: tau._depth[tau.boundary[x]])
     if tau.involution[f] != g:
         raise ValueError("flags are not matched by the involution (tails cannot be contracted)")
-    keep = tau.boundary[f]  # parent side
-    drop = tau.boundary[g]
-    flags = tau.flags - edge
-    vertices = tau.vertices - {drop}
-    boundary = {h: (keep if tau.boundary[h] == drop else tau.boundary[h]) for h in flags}
-    involution = {h: tau.involution[h] for h in flags}
-    return RootedTree(flags, vertices, boundary, involution, tau.root_tail, tau.input_labels)
+    drop = tau.boundary[g]  # child side
+    count = 0
+
+    def splice(node):
+        nonlocal count
+        count += 1
+        inputs, subs = list(node[0]), []
+        for sub in node[1]:
+            if count == drop:
+                count += 1
+                inputs += sub[0]
+                subs += [splice(s) for s in sub[1]]
+            else:
+                subs.append(splice(sub))
+        return (tuple(inputs), tuple(subs))
+
+    return RootedTree(form=splice(tau._form))
 
 
 def graft_all(tau, args):
@@ -408,7 +390,7 @@ def graft_all(tau, args):
     edges, one per argument.  Marking labels of the args must be pairwise
     disjoint.
     """
-    slots = sorted(tau.input_labels, key=_label_key)
+    slots = sorted(tau.markings, key=_label_key)
     if len(args) != len(slots):
         raise ValueError("arity mismatch: tree takes %d inputs, got %d" % (len(slots), len(args)))
     seen = set()
@@ -416,7 +398,7 @@ def graft_all(tau, args):
         if a.markings & seen:
             raise ValueError("argument marking labels collide")
         seen |= a.markings
-    return _glue(tau, [(tau.input_labels[slot], a) for slot, a in zip(slots, args)])
+    return _plugged(tau, dict(zip(slots, args)))
 
 
 def compose(tau, args):
@@ -435,9 +417,9 @@ def compose(tau, args):
     offset = 0
     for slot, a in zip(slots, args):
         old = sorted(a.markings, key=_label_key)
-        contents[slot] = _canonical(a._shape(), {o: offset + i + 1 for i, o in enumerate(old)})
+        contents[slot] = _canonical(a._form, {o: offset + i + 1 for i, o in enumerate(old)})
         offset += len(old)
-    return RootedTree(form=_substituted(tau._shape(), contents), canonical=True)
+    return RootedTree(form=_substituted(tau._form, contents), canonical=True)
 
 
 def _substituted(form, contents):
@@ -459,12 +441,7 @@ def permute_markings(tau, pi):
         raise ValueError("permutation domain does not match the marking set")
     if len(set(pi.values())) != len(pi):
         raise ValueError("relabeling is not injective")
-    if tau._form is not None:
-        return RootedTree(form=_relabeled(tau._form, pi))
-    input_labels = {pi[m]: f for m, f in tau.input_labels.items()}
-    return RootedTree(
-        tau.flags, tau.vertices, tau.boundary, tau.involution, tau.root_tail, input_labels
-    )
+    return RootedTree(form=_relabeled(tau._form, pi))
 
 
 def _relabeled(form, pi):
@@ -482,7 +459,7 @@ def forget_marking(tau, s):
     """
     if s not in tau.markings:
         raise ValueError("unknown marking %r" % (s,))
-    inputs, subs = _spliced(tau._shape(), s)
+    inputs, subs = _spliced(tau._form, s)
     if not inputs and len(subs) == 1:
         inputs, subs = subs[0]
     return RootedTree(form=(inputs, subs), canonical=True)
@@ -552,7 +529,7 @@ class StratumDescriptor:
 
     def stratum_class(self):
         """Product of stratum_factor_class(d, k) over the in-degrees k of the vertices."""
-        return _profile_class(self.d, tuple(sorted(_in_degrees(self.tree._shape()))))
+        return _profile_class(self.d, tuple(sorted(_in_degrees(self.tree._form))))
 
 
 @lru_cache(maxsize=None)

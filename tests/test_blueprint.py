@@ -423,6 +423,19 @@ class TestInputChecks:
         with pytest.raises(ValueError, match=r"^n must be an int >= 4$"):
             Monomial(n)
 
+    @pytest.mark.parametrize("left,right", [([Monomial(5)], [Monomial(6)]), (["x"], ["y"]), ([Monomial(5)], ["y"])])
+    def test_relation_sides_are_monomials_of_one_n(self, left, right):
+        with pytest.raises(ValueError, match=r"^summands must live over the same index set$"):
+            BlueprintRel(left, right)
+
+    def test_perm_relation_needs_a_relation(self):
+        with pytest.raises(ValueError, match=r"^perm_relation needs a BlueprintRel$"):
+            perm_relation(identity_perm(5), "x")
+
+    def test_relation_triples_needs_relations(self):
+        with pytest.raises(ValueError, match=r"^relation_triples needs BlueprintRels$"):
+            relation_triples(plucker_relations(5)[:1] + ["x"])
+
 
 # -- relabeling oracles: perm_action, plucker_relations and crossed_relations
 # as they were before the interned index table, built only from public
@@ -592,9 +605,9 @@ class TestRelabelOracles:
         rel5, rel6 = plucker_relations(5)[0], plucker_relations(6)[0]
         with pytest.raises(ValueError, match=r"^perm must be a permutation tuple of 1\.\.n$"):
             crossed_relations([rel5, rel6], [identity_perm(5)])
-        mixed = BlueprintRel(rel5.left, rel6.right)
+        # a relation mixing two n is refused when it is built
         with pytest.raises(ValueError, match=r"^summands must live over the same index set$"):
-            crossed_relations([mixed], [identity_perm(5)])
+            crossed_relations([BlueprintRel(rel5.left, rel6.right)], [identity_perm(5)])
         assert crossed_relations([], [(1, 1)]) == []
 
     @settings(max_examples=300, deadline=None)

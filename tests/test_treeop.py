@@ -3,7 +3,7 @@ import json
 from itertools import permutations, product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from f1kit.genseries import stratum_factor_class, tdn_class
 from f1kit.motive import MotClass, proj_class
@@ -55,9 +55,7 @@ def flag_compose(tau, args):
         relabeled.append(permute_markings(a, {o: offset + i + 1 for i, o in enumerate(old)}))
         offset += len(old)
     tree, new_edges = graft_all(tau, relabeled)
-    for e in new_edges:
-        tree = contract_edge(tree, e)
-    return tree.renumbered()
+    return contract_vertices(tree, [edge_child(tree, e) for e in new_edges]).renumbered()
 
 
 def flag_forget(tau, s):
@@ -87,6 +85,119 @@ def flag_forget(tau, s):
 
 def flag_data(tree):
     return (tree.flags, tree.vertices, tree.boundary, tree.involution, tree.root_tail, tree.input_labels)
+
+
+# -- flag-level grafting and contraction over plain flag data -----------------
+# data = (flags, vertices, boundary, involution, root_tail, input_labels), as
+# flag_data returns it.  graft, graft_all and contract_edge once worked on
+# such data; these are those routes, kept as oracles.
+
+
+def flag_glue(host, plugs):
+    """Union of host and guests with one new edge per plug (tail, guest data).
+
+    host ids are tagged ("h", x) and guest k's ("a", k, x).
+    """
+    h_flags, h_vertices, h_boundary, h_involution, h_root, h_labels = host
+    flags = [("h", f) for f in h_flags]
+    vertices = [("h", v) for v in h_vertices]
+    boundary = {("h", f): ("h", v) for f, v in h_boundary.items()}
+    involution = {("h", f): ("h", g) for f, g in h_involution.items()}
+    plugged = {tail for tail, _ in plugs}
+    input_labels = {m: ("h", f) for m, f in h_labels.items() if f not in plugged}
+    for k, (tail, guest) in enumerate(plugs):
+        g_flags, g_vertices, g_boundary, g_involution, g_root, g_labels = guest
+        flags.extend(("a", k, f) for f in g_flags)
+        vertices.extend(("a", k, v) for v in g_vertices)
+        boundary.update({("a", k, f): ("a", k, v) for f, v in g_boundary.items()})
+        involution.update({("a", k, f): ("a", k, g) for f, g in g_involution.items()})
+        input_labels.update({m: ("a", k, f) for m, f in g_labels.items()})
+        involution[("h", tail)], involution[("a", k, g_root)] = ("a", k, g_root), ("h", tail)
+    return (frozenset(flags), frozenset(vertices), boundary, involution, ("h", h_root), input_labels)
+
+
+def flag_walk(data):
+    """Depth of every vertex and the nested form, by a walk from the root tail."""
+    flags, _, boundary, involution, root_tail, input_labels = data
+    depth = {}
+
+    def nested(out, d):
+        v = boundary[out]
+        depth[v] = d
+        inputs = tuple(m for m, f in input_labels.items() if boundary[f] == v)
+        subs = tuple(nested(involution[f], d + 1) for f in flags if boundary[f] == v and f != out and involution[f] != f)
+        return (inputs, subs)
+
+    form = nested(root_tail, 0)
+    return depth, form
+
+
+def flag_contract(data, edge):
+    """Drop the two flags of edge and merge its child vertex into its mother."""
+    flags, vertices, boundary, involution, root_tail, input_labels = data
+    depth, _ = flag_walk(data)
+    f, g = sorted(edge, key=lambda x: depth[boundary[x]])
+    keep, drop = boundary[f], boundary[g]
+    flags = flags - edge
+    boundary = {h: (keep if boundary[h] == drop else boundary[h]) for h in flags}
+    involution = {h: involution[h] for h in flags}
+    return (flags, vertices - {drop}, boundary, involution, root_tail, input_labels)
+
+
+def flag_canonical(data):
+    return RootedTree.from_nested(flag_walk(data)[1]).canonical_str()
+
+
+def assert_glued(tree, edges, host, plugs):
+    """tree matches flag_glue, and edge k hangs guest k from the vertex of slot k."""
+    data = flag_glue(flag_data(host), [(host.input_labels[slot], flag_data(g)) for slot, g in plugs])
+    assert tree.canonical_str() == flag_canonical(data)
+    assert len(edges) == len(plugs)
+    for e, (slot, guest) in zip(edges, plugs):
+        assert e in tree.edges()
+        assert below(tree, edge_child(tree, e)) == guest
+
+
+def assert_contracts(tree):
+    for e in tree.edges():
+        want = flag_canonical(flag_contract(flag_data(tree), e))
+        assert contract_edge(tree, e).canonical_str() == want
+
+
+def moved(tree, base):
+    """tree with its labels, in label order, renamed base + 1, base + 2, ..."""
+    old = sorted(tree.markings, key=_label_key)
+    return permute_markings(tree, {m: base + i + 1 for i, m in enumerate(old)})
+
+
+def edge_child(tree, edge):
+    """The vertex an edge hangs from: the deeper of its two ends."""
+    return max((tree.boundary[f] for f in edge), key=tree.depth)
+
+
+def below(tree, v):
+    """The subtree of vertex v, read off the flag view."""
+
+    def nested(w):
+        inputs = tuple(m for m, f in tree.input_labels.items() if tree.boundary[f] == w)
+        return (inputs, tuple(nested(c) for c in tree.children(w)))
+
+    return RootedTree.from_nested(nested(v))
+
+
+def contract_vertices(tree, vertices):
+    """Contract the edge above each vertex in turn, each re-read from the current tree.
+
+    Contracting vertex w renumbers only the later vertices (v > w becomes
+    v - 1), because its children keep their place in its mother.
+    """
+    vertices = list(vertices)
+    while vertices:
+        w = vertices.pop(0)
+        f = tree._out_flag[w]
+        tree = contract_edge(tree, (f, tree.involution[f]))
+        vertices = [v - (v > w) for v in vertices]
+    return tree
 
 
 def assert_same_tree(got, want):
@@ -127,10 +238,33 @@ class TestStructure:
         assert (t.input_labels[905], t.input_labels[54], r.input_labels[54]) == (1, 43, 4)
         assert r == t
 
-    def test_flag_data_checks_pass_on_built_forms(self):
-        for form in [((1,), (((2, 3), ()),)), ((), ()), ((), (((), ()),)), ((3, 1), (((2,), ()),))]:
-            t = RootedTree.from_nested(form)
-            assert_same_tree(RootedTree(*flag_data(t)), t)
+    @settings(max_examples=150, deadline=None)
+    @given(nested_forms())
+    @example(((1,), (((2, 3), ()),)))
+    @example(((), ()))
+    @example(((), (((), ()),)))
+    @example(((3, 1), (((2,), ()),)))
+    def test_flag_data_checks_pass_on_built_forms(self, form):
+        t = RootedTree.from_nested(form)
+        assert_same_tree(RootedTree(*flag_data(t)), t)
+
+    def test_incomparable_ids_build(self):
+        # root "A" holds input 1 and the edge 7 -> "x" to vertex 5, which holds 2 and 3
+        t = RootedTree(
+            ["r", ("h", 1), 7, "x", (2,), "t"],
+            ["A", 5],
+            {"r": "A", ("h", 1): "A", 7: "A", "x": 5, (2,): 5, "t": 5},
+            {"r": "r", ("h", 1): ("h", 1), 7: "x", "x": 7, (2,): (2,), "t": "t"},
+            "r",
+            {1: ("h", 1), 2: (2,), 3: "t"},
+        )
+        assert t == RootedTree.from_nested(((1,), (((2, 3), ()),)))
+        assert (t.flags, t.vertices) == (frozenset(range(6)), frozenset(range(2)))
+
+    def test_self_loop_rejected(self):
+        # the edge 1 -- 2 joins vertex 0 to itself, so vertex 1 hangs free
+        with pytest.raises(ValueError, match=r"^flag data is not a tree \(disconnected\)$"):
+            RootedTree([0, 1, 2, 3], [0, 1], {0: 0, 1: 0, 2: 0, 3: 1}, {0: 0, 1: 2, 2: 1, 3: 3}, 0, {5: 3})
 
     def test_repeated_label_rejected(self):
         with pytest.raises(ValueError):
@@ -258,10 +392,7 @@ class TestContract:
                 edges = list(t.edges())
                 results = set()
                 for order in permutations(edges):
-                    cur = t
-                    for e in order:
-                        cur = contract_edge(cur, e)
-                    results.add(cur)
+                    results.add(contract_vertices(t, [edge_child(t, e) for e in order]))
                 assert results == {RootedTree.corolla(tuple(range(1, n + 1)))}
 
     def test_reject_tail(self):
@@ -311,10 +442,7 @@ class TestCompose:
         grafted, new_edges = graft_all(tau, relabeled)
         results = set()
         for order in permutations(new_edges):
-            cur = grafted
-            for e in order:
-                cur = contract_edge(cur, e)
-            results.add(cur)
+            results.add(contract_vertices(grafted, [edge_child(grafted, e) for e in order]))
         assert len(results) == 1
         assert results.pop() == compose(tau, args)
 
@@ -358,6 +486,45 @@ class TestFlagOracles:
         assert flag_data(got)[:5] == flag_data(t)[:5]
         assert got.input_labels == {pi[m]: f for m, f in t.input_labels.items()}
         assert got == RootedTree(*flag_data(t)[:5], got.input_labels)
+
+    def test_graft_matches_flag_glue(self):
+        guests = [moved(g, 10) for n in (1, 2, 3) for g in law_family(n)]
+        for n in (2, 3, 4):
+            for host in enumerate_stable_trees(n):
+                for slot in sorted(host.markings):
+                    for guest in guests:
+                        tree, edge = _graft(guest, host, host.input_labels[slot])
+                        assert_glued(tree, (edge,), host, [(slot, guest)])
+                        assert_contracts(tree)
+
+    def test_graft_all_matches_flag_glue(self):
+        guests = [g for n in (1, 2, 3) for g in law_family(n)]
+        for n in (2, 3, 4):
+            for host in enumerate_stable_trees(n):
+                slots = sorted(host.markings)
+                for j in range(len(guests)):
+                    args = [moved(guests[(j + k) % len(guests)], 100 * (k + 1)) for k in range(n)]
+                    tree, edges = graft_all(host, args)
+                    assert_glued(tree, edges, host, list(zip(slots, args)))
+
+    def test_contract_matches_flag_contract(self):
+        for n in (2, 3, 4):
+            for t in enumerate_stable_trees(n):
+                assert_contracts(t)
+
+    @settings(max_examples=150, deadline=None)
+    @given(nested_forms(4), st.lists(nested_forms(3), min_size=4, max_size=4))
+    def test_graft_and_contract_drawn_forms(self, form, guest_forms):
+        host = RootedTree.from_nested(form)
+        slots = sorted(host.markings, key=_label_key)
+        args = [moved(RootedTree.from_nested(f), 100 * (k + 1)) for k, f in enumerate(guest_forms[: len(slots)])]
+        tree, edges = graft_all(host, args)
+        assert_glued(tree, edges, host, list(zip(slots, args)))
+        assert_contracts(host)
+        assert_contracts(tree)
+        for slot, guest in zip(slots, args):
+            tree, edge = _graft(guest, host, host.input_labels[slot])
+            assert_glued(tree, (edge,), host, [(slot, guest)])
 
     def test_enumerated_forms_are_canonical(self):
         for n in range(2, 7):
@@ -407,8 +574,20 @@ class TestClassesAndPoints:
         t = RootedTree.from_nested(((1,), (((2, 3), ()),)))
         torify_tree_curve(t)
         tree_class(t, 2)
-        with pytest.raises(AttributeError):
-            RootedTree.flags.__get__(t)
+        c = RootedTree.corolla((1, 2))
+        trees = [t, c, compose(t, [c, RootedTree.unit(), c]), forget_marking(t, 2)]
+        trees.append(permute_markings(t, {1: 3, 2: 1, 3: 2}))
+        for stratum in strata_table(1, 4):
+            stratum.stratum_class()
+            trees.append(stratum.tree)
+        for tree in trees:
+            tree.to_json()
+        # graft_all finds its slots on the form; only its result's flags are read
+        host, args = enumerate_stable_trees(3)[1], [moved(c, 10), moved(c, 20), RootedTree.unit(30)]
+        graft_all(host, args)
+        for tree in trees + [host] + args:
+            with pytest.raises(AttributeError):
+                RootedTree.flags.__get__(tree)
 
     def test_points(self):
         chain3 = RootedTree.from_nested(((1, 2), (((3, 4), ()), ((5, 6), ()))))
