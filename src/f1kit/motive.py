@@ -12,7 +12,9 @@ Values are immutable and all operations are pure, so they can be shared
 freely between threads or workers.
 """
 
+from itertools import accumulate
 from math import comb
+from operator import neg
 
 
 class MotClass:
@@ -221,18 +223,27 @@ def _coerce(x):
 
 
 def _linear_shift(coeffs, s):
-    """Coefficients of p(x + s), given those of p, by Horner."""
+    """Coefficients of p(x + s), s = 1 or -1, given those of p.
+
+    Those of p(x + 1) are p's Taylor coefficients at 1: each is the remainder
+    of one synthetic division by x - 1, and that division is a running sum
+    over the coefficients, highest first.  So the shift is a run of
+    accumulate passes, each shorter by one.  s = -1 conjugates by x -> -x,
+    as p(x - 1) = q(1 - x) for q(x) = p(-x): flip the signs of the odd
+    coefficients, shift by 1, and flip them back.
+    """
+    c = list(coeffs)
+    while c and c[-1] == 0:
+        c.pop()
+    if s == -1:
+        c[1::2] = map(neg, c[1::2])
     out = []
-    for c in reversed(coeffs):
-        # out := out * (x + s) + c
-        new = [0] * (len(out) + 1)
-        for i, v in enumerate(out):
-            new[i] += v * s
-            new[i + 1] += v
-        new[0] += c
-        while new and new[-1] == 0:
-            new.pop()
-        out = new
+    rest = c[::-1]
+    while rest:
+        rest = list(accumulate(rest))
+        out.append(rest.pop())
+    if s == -1:
+        out[1::2] = map(neg, out[1::2])
     return tuple(out)
 
 
@@ -311,14 +322,8 @@ def expand_falling_stirling(m):
     """Same value as expand_falling(m), via the Stirling-number route.
 
     Writes (T-1)(T-2)...(T-m) = sum_k s(m,k) (T-1)^k with s the signed
-    Stirling numbers of the first kind, then expands each (T-1)^k
-    binomially.  Must agree exactly with the direct product.
+    Stirling numbers of the first kind, and expands that by one Taylor
+    shift: it is the polynomial sum_k s(m,k) x^k at x = T - 1.  Must agree
+    exactly with the direct product.
     """
-    row = signed_stirling1(m)
-    out = [0] * (m + 1)
-    for k, s in enumerate(row):
-        if s == 0:
-            continue
-        for j in range(k + 1):
-            out[j] += s * comb(k, j) * (-1) ** (k - j)
-    return MotClass(out)
+    return MotClass(_linear_shift(signed_stirling1(m), -1))

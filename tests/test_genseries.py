@@ -1,4 +1,7 @@
+from math import comb
+
 import pytest
+from hypothesis import given, strategies as st
 
 from f1kit import genseries
 from f1kit.genseries import (
@@ -16,6 +19,20 @@ from f1kit.genseries import (
 from f1kit.motive import MotClass, expand_falling, proj_class
 
 L = MotClass.lefschetz()
+
+
+def comb_kernel(d, order, t):
+    # the folded kernel with one math.comb per term: oracle for _tdn_values
+    lef = t + 1
+    p_lo, p_mid, p_hi = (sum(lef**k for k in range(j + 1)) for j in (d - 2, d - 1, d))
+    lin, hyper = lef * p_lo, lef * p_mid
+    b = [0, 1, p_mid]
+    for n in range(2, order):
+        total = sum(comb(n + 1, i) * b[i] * b[n + 1 - i] for i in range(2, n // 2 + 1))
+        if n % 2:
+            total += comb(n, n // 2 + 1) * b[n // 2 + 1] ** 2
+        b.append((p_hi + n * lin) * b[n] + hyper * total)
+    return b[1 : order + 1]
 
 
 class TestOdeSolver:
@@ -133,7 +150,7 @@ class TestPointCounts:
                     assert f1m_count(d, n, m) == counts[n - 1]
 
     def test_matches_class_count(self):
-        # the kernel at T = m against the packed run's class, counted
+        # the kernel at T = m against the class, counted (every size here reads it off packed)
         for d in range(1, 5):
             for n in range(1, 25):
                 cls = tdn_class(d, n)
@@ -239,6 +256,10 @@ class TestKernel:
         assert tdn_class(2, 30) == grown
         assert tdn_class(2, 10) == small
 
+    @given(st.integers(1, 4), st.integers(1, 60), st.sampled_from([0, 1, 9, 2**64]))
+    def test_matches_comb_oracle(self, d, order, t):
+        assert genseries._tdn_values(d, order, t) == comb_kernel(d, order, t)
+
     def test_point_count_order_one(self):
         assert solve_point_count_ode(3, 4, 1) == [1]
 
@@ -251,3 +272,99 @@ class TestKernel:
         narrow = genseries._tdn_values(2, 12, 1 << 8 * (width - 1))
         with pytest.raises(AssertionError, match="carried"):
             genseries._unpack(narrow[-1], width - 1, sums[-1])
+
+
+def _fill(monkeypatch, d, n, cutoff):
+    # one tdn_class miss with the given cutoff; returns the memo's (d, 1..n)
+    monkeypatch.setattr(genseries, "_INTERPOLATE_WIDTH", cutoff)
+    clear_caches()
+    tdn_class(d, n)
+    return [genseries._TDN_CACHE[(d, k)] for k in range(1, n + 1)]
+
+
+def _width(d, n):
+    return (max(genseries._tdn_values(d, n, 1)).bit_length() + 7) // 8
+
+
+def _corrupt(monkeypatch, bump):
+    # the kernel with bump(t) added to its last value at T = t
+    kernel = genseries._tdn_values
+
+    def corrupted(d, order, t):
+        values = kernel(d, order, t)
+        values[-1] += bump(t)
+        return values
+
+    monkeypatch.setattr(genseries, "_tdn_values", corrupted)
+
+
+class TestReadOffRoutes:
+    """The packed and the interpolated read-off against each other and the oracle."""
+
+    PACKED, INTERPOLATED = 10**9, 0
+
+    @pytest.mark.parametrize("d,below,above", [(1, 66, 70), (2, 52, 56), (3, 45, 48), (4, 41, 43)])
+    def test_routes_agree_across_the_cutoff(self, monkeypatch, d, below, above):
+        assert _width(d, below) < genseries._INTERPOLATE_WIDTH <= _width(d, above)
+        for n in (below, above):
+            packed = _fill(monkeypatch, d, n, self.PACKED)
+            assert _fill(monkeypatch, d, n, self.INTERPOLATED) == packed, "d=%d n=%d" % (d, n)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_interpolation_matches_series_solver_small(self, monkeypatch, d):
+        series = solve_tdn_ode(d, 12)
+        for n in range(1, 13):
+            assert _fill(monkeypatch, d, n, self.INTERPOLATED) == list(series.coeffs[:n]), "d=%d n=%d" % (d, n)
+
+    def test_cutoff_picks_the_route(self, monkeypatch):
+        calls = []
+        interpolate = genseries._interpolate
+        monkeypatch.setattr(genseries, "_interpolate", lambda values: calls.append(1) or interpolate(values))
+        clear_caches()
+        assert _width(1, 66) < genseries._INTERPOLATE_WIDTH <= _width(1, 68)
+        tdn_class(1, 66)
+        assert not calls
+        tdn_class(1, 68)
+        assert len(calls) == 68
+
+    def test_interpolated_fill_matches_series_solver(self):
+        # (1, 70) has a slot width of 49 bytes, so it is interpolated
+        assert _width(1, 70) >= genseries._INTERPOLATE_WIDTH
+        clear_caches()
+        series = solve_tdn_ode(1, 70)
+        tdn_class(1, 70)
+        for n in range(1, 71):
+            assert genseries._TDN_CACHE[(1, n)] == series.coeff(n), "n=%d" % n
+
+    @pytest.mark.parametrize("node", [0, 1, 7, 21])
+    def test_interpolation_guard_catches_a_bumped_node(self, monkeypatch, node):
+        # nodes 0..21 pin tdn_class(3, 8), of degree 20
+        _corrupt(monkeypatch, lambda t: int(t == node))
+        monkeypatch.setattr(genseries, "_INTERPOLATE_WIDTH", self.INTERPOLATED)
+        clear_caches()
+        with pytest.raises(AssertionError, match="last difference is nonzero"):
+            tdn_class(3, 8)
+
+    def test_interpolation_guard_catches_an_inexact_division(self, monkeypatch):
+        # adding T(T-1)/2 at every node keeps the values integral and of degree
+        # 20, but makes the second Newton coefficient a half
+        _corrupt(monkeypatch, lambda t: t * (t - 1) // 2)
+        monkeypatch.setattr(genseries, "_INTERPOLATE_WIDTH", self.INTERPOLATED)
+        clear_caches()
+        with pytest.raises(AssertionError, match="difference 2 is not a multiple of 2!"):
+            tdn_class(3, 8)
+
+    def test_interpolation_guard_on_the_default_route(self, monkeypatch):
+        _corrupt(monkeypatch, lambda t: int(t == 40))
+        clear_caches()
+        with pytest.raises(AssertionError):
+            tdn_class(1, 70)
+
+    def test_packed_guard_catches_a_bumped_value(self, monkeypatch):
+        # tdn_class(2, 12) is read off packed, from its one run at T > 1
+        width = _width(2, 12)
+        assert width < genseries._INTERPOLATE_WIDTH
+        _corrupt(monkeypatch, lambda t: int(t == 1 << 8 * width))
+        clear_caches()
+        with pytest.raises(AssertionError, match="carried"):
+            tdn_class(2, 12)

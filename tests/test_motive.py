@@ -1,8 +1,11 @@
+import random
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from f1kit.motive import (
     MotClass,
+    _linear_shift,
     blowup_class,
     expand_falling,
     expand_falling_stirling,
@@ -26,6 +29,25 @@ def schoolbook(a, b):
     while out and out[-1] == 0:
         out.pop()
     return tuple(out)
+
+
+def horner_shift(coeffs, s):
+    # independent Taylor-shift oracle: coefficients of p(x + s) by Horner
+    out = []
+    for c in reversed(coeffs):
+        # out := out * (x + s) + c
+        new = [0] * (len(out) + 1)
+        for i, v in enumerate(out):
+            new[i] += v * s
+            new[i + 1] += v
+        new[0] += c
+        while new and new[-1] == 0:
+            new.pop()
+        out = new
+    return tuple(out)
+
+
+_DEGREE_300 = tuple(random.Random(300).randint(-(10**40), 10**40) for _ in range(301))
 
 
 class TestArithmetic:
@@ -195,6 +217,27 @@ class TestExpandFalling:
     def test_stirling_row(self):
         # s(4,k): falling factorial x(x-1)(x-2)(x-3) = x^4 - 6x^3 + 11x^2 - 6x
         assert signed_stirling1(4) == (0, -6, 11, -6, 1)
+
+
+class TestLinearShift:
+    """The basis change against the Horner oracle."""
+
+    @given(st.lists(st.integers(), max_size=301), st.sampled_from([1, -1]))
+    @example([], 1)
+    @example([], -1)
+    @example([7], 1)
+    @example([-7], -1)
+    @example([-3, -5, -1], 1)
+    @example([-3, -5, -1], -1)
+    @example([2, 0, 0], -1)
+    @example(list(_DEGREE_300), 1)
+    @example(list(_DEGREE_300), -1)
+    def test_matches_horner(self, coeffs, s):
+        assert _linear_shift(tuple(coeffs), s) == horner_shift(coeffs, s)
+
+    @pytest.mark.parametrize("s", [1, -1])
+    def test_degree_300_round_trip(self, s):
+        assert _linear_shift(_linear_shift(_DEGREE_300, s), -s) == _DEGREE_300
 
 
 class TestSerialization:
