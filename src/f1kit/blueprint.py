@@ -29,15 +29,12 @@ trade places under the action; relation sets are compared accordingly.
 from itertools import combinations, permutations as iter_permutations
 import operator
 
+from .motive import _check_int
+
 
 def _full_mask(n):
     """Mask of {1..n}."""
     return (1 << (n + 1)) - 2
-
-
-def _check_n(n):
-    if not isinstance(n, int) or n < 4:
-        raise ValueError("n must be an int >= 4")
 
 
 _PAIR_ERROR = "pairs must be two disjoint pairs of distinct markings in 1..n"
@@ -60,7 +57,7 @@ class SubsetIndex:
     __slots__ = ("n", "mask", "_key", "_str")
 
     def __init__(self, n, members):
-        _check_n(n)
+        n = _check_int("n", n, 4)
         mask = 0
         for m in members:
             if not isinstance(m, int) or not 1 <= m <= n:
@@ -115,7 +112,7 @@ _TABLES = {}
 
 def _table(n):
     """(indices in sort-key order, mask of either side -> rank) for n markings."""
-    _check_n(n)
+    n = _check_int("n", n, 4)
     table = _TABLES.get(n)
     if table is None:
         rest = range(2, n + 1)
@@ -180,19 +177,16 @@ class Monomial:
     __slots__ = ("n", "exps", "f_denominator")
 
     def __init__(self, n, exps=(), f_denominator=0):
-        _check_n(n)
+        n = _check_int("n", n, 4)
         if isinstance(exps, dict):
             exps = exps.items()
         cleaned = {}
         for idx, e in exps:
             if not isinstance(idx, SubsetIndex) or idx.n != n:
                 raise ValueError("exponent keys must be indices for the same n")
-            if not isinstance(e, int) or e < 0:
-                raise ValueError("exponents must be nonnegative ints")
-            if e:
+            if _check_int("exponents", e, 0, "nonnegative ints"):
                 cleaned[idx] = cleaned.get(idx, 0) + e
-        if not isinstance(f_denominator, int) or f_denominator < 0:
-            raise ValueError("denominator power must be a nonnegative int")
+        f_denominator = _check_int("denominator power", f_denominator, 0)
         object.__setattr__(self, "n", n)
         object.__setattr__(
             self, "exps", tuple(sorted(cleaned.items(), key=lambda p: p[0].sort_key()))
@@ -346,9 +340,7 @@ def plucker_relations(n):
 
 def localize_relation(rel, k):
     """Raise every monomial's f-denominator by k."""
-    if not isinstance(k, int) or k < 0:
-        raise ValueError("k must be a nonnegative int")
-    return _shifted(rel, k)
+    return _shifted(rel, _check_int("k", k, 0))
 
 
 def clear_denominators(rel):

@@ -28,7 +28,7 @@ from collections.abc import Iterator
 from json.encoder import encode_basestring_ascii as _quote
 
 from . import blueprint, genseries, torif, treeop
-from .motive import MotClass, format_poly
+from .motive import MotClass, _check_int, format_poly
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -126,12 +126,9 @@ def _doc_points(args, fmt):
 
 
 def _doc_series(args, fmt):
-    if args.d < 1:
-        raise ValueError("d must be a positive int")
-    if args.order < 1:
-        raise ValueError("order must be >= 1")
-    genseries.tdn_class(args.d, args.order)  # one kernel run fills the memo for 1..order
-    series = genseries.EGFSeries(genseries.tdn_class(args.d, n) for n in range(1, args.order + 1))
+    d, order = _check_int("d", args.d, 1), genseries._check_order(args.order)
+    genseries.tdn_class(d, order)  # one kernel run fills the memo for 1..order
+    series = genseries.EGFSeries(genseries.tdn_class(d, n) for n in range(1, order + 1))
     if fmt == "json":
         return series.to_json(args.basis)
     rows = [(n, _poly(series.coeff(n), args.basis)) for n in range(1, series.order + 1)]

@@ -27,7 +27,7 @@ value-identical entries by pure functions, so concurrent fills are harmless.
 from math import comb, factorial
 from operator import add, mul, sub
 
-from .motive import MotClass, expand_falling, proj_class
+from .motive import MotClass, _check_int, expand_falling, proj_class
 
 
 class EGFSeries:
@@ -74,6 +74,11 @@ class EGFSeries:
         return {"order": self.order, "coeffs": [c.to_json(basis) for c in self._coeffs]}
 
 
+def _check_order(order):
+    """order as a plain int, if it is a series order, an int >= 1."""
+    return _check_int("order", order, 1, ">= 1")
+
+
 def solve_tdn_ode(d, order):
     """Series solution of (1 + L^d t - L [P^(d-1)] psi) psi' = 1 + psi.
 
@@ -85,10 +90,7 @@ def solve_tdn_ode(d, order):
 
     For d = 1 this specializes to the genus-zero series equation.
     """
-    if not isinstance(d, int) or d < 1:
-        raise ValueError("d must be a positive int")
-    if not isinstance(order, int) or order < 1:
-        raise ValueError("order must be >= 1")
+    d, order = _check_int("d", d, 1), _check_order(order)
     ld = MotClass.lefschetz(d)
     hyper = MotClass.lefschetz() * proj_class(d - 1)
     b = [MotClass.one()]
@@ -172,12 +174,7 @@ def solve_point_count_ode(d, m, order):
     (n+1) L [P^(d-1)] p_n, and 1 - n L^d + (n+1) L [P^(d-1)] equals
     [P^d] + n L [P^(d-2)]), so this runs the folded kernel at t = m.
     """
-    if not isinstance(d, int) or d < 1:
-        raise ValueError("d must be a positive int")
-    if not isinstance(m, int) or m < 0:
-        raise ValueError("m must be a nonnegative int")
-    if not isinstance(order, int) or order < 1:
-        raise ValueError("order must be >= 1")
+    d, m, order = _check_int("d", d, 1), _check_int("m", m, 0), _check_order(order)
     return _tdn_values(d, order, m)
 
 
@@ -192,17 +189,13 @@ def clear_caches():
 
 
 def _check_tdn(d, n):
-    if not isinstance(d, int) or d < 1:
-        raise ValueError("d must be a positive int")
-    if not isinstance(n, int) or n < 1:
-        raise ValueError("n must be a positive int")
+    """(d, n) of a tdn class as plain ints, d checked first."""
+    return _check_int("d", d, 1), _check_int("n", n, 1)
 
 
 def _mbar0_as_tdn(n):
     """(d, n) of the tdn class equal to mbar0_class(n): (1, n - 1)."""
-    if not isinstance(n, int) or n < 2:
-        raise ValueError("n must be an int >= 2")
-    return 1, n - 1
+    return 1, _check_int("n", n, 2) - 1
 
 
 def mbar0_class(n):
@@ -247,7 +240,7 @@ def tdn_class(d, n):
     interpolation first beats the packed run at a width of 46-52 bytes,
     hence the cutoff of 48.  A miss fills (d, 1)..(d, n) either way.
     """
-    _check_tdn(d, n)
+    d, n = _check_tdn(d, n)
     if (d, n) not in _TDN_CACHE:
         sums = _tdn_values(d, n, 1)
         width = (max(sums).bit_length() + 7) // 8
@@ -269,7 +262,7 @@ def f1m_count(d, n, m):
     The kernel's value at T = m, read off without building the class.  d and
     n are checked first, with tdn_class's messages, then m.
     """
-    _check_tdn(d, n)
+    d, n = _check_tdn(d, n)
     return solve_point_count_ode(d, m, n)[n - 1]
 
 
@@ -282,13 +275,9 @@ def open_stratum_class(d, n):
     It always has a negative T-coefficient for n >= 3, so the open stratum
     on its own is never a nonnegative sum of tori.
     """
-    if not isinstance(d, int) or d < 1:
-        raise ValueError("d must be a positive int")
-    if not isinstance(n, int) or n < 2:
-        raise ValueError("n must be an int >= 2")
-    ld = MotClass.lefschetz(d)
+    ld = MotClass.lefschetz(_check_int("d", d, 1))
     out = MotClass.one()
-    for j in range(2, n):
+    for j in range(2, _check_int("n", n, 2)):
         out = out * (ld - j)
     return out
 
@@ -313,6 +302,4 @@ def m0_open_class(n):
     (T-1)...(T-n+3), matching the finite-field point count
     (q-2)...(q-n+2).
     """
-    if not isinstance(n, int) or n < 3:
-        raise ValueError("n must be an int >= 3")
-    return expand_falling(n - 3)
+    return expand_falling(_check_int("n", n, 3) - 3)

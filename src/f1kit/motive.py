@@ -14,7 +14,21 @@ freely between threads or workers.
 
 from itertools import accumulate
 from math import comb
-from operator import neg
+from operator import index, neg
+
+
+def _check_int(name, value, low, floor=None):
+    """value as a plain int, if it is an int >= low; a bool counts as its int.
+
+    Otherwise raises ValueError("<name> must be <floor>"), the floor by
+    default "a positive int" for low 1, "a nonnegative int" for low 0 and
+    "an int >= <low>" for any other low.
+    """
+    if isinstance(value, int) and value >= low:
+        return index(value)
+    if floor is None:
+        floor = {0: "a nonnegative int", 1: "a positive int"}.get(low, "an int >= %d" % low)
+    raise ValueError("%s must be %s" % (name, floor))
 
 
 class MotClass:
@@ -47,15 +61,12 @@ class MotClass:
     @classmethod
     def torus(cls, k=1):
         """T^k."""
-        if k < 0:
-            raise ValueError("torus power must be nonnegative")
-        return cls((0,) * k + (1,))
+        return cls((0,) * _check_int("torus power", k, 0) + (1,))
 
     @classmethod
     def lefschetz(cls, k=1):
         """L^k = (T+1)^k."""
-        if k < 0:
-            raise ValueError("lefschetz power must be nonnegative")
+        k = _check_int("lefschetz power", k, 0)
         return cls(tuple(comb(k, j) for j in range(k + 1)))
 
     @classmethod
@@ -132,8 +143,7 @@ class MotClass:
     __rmul__ = __mul__
 
     def __pow__(self, n):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("exponent must be a nonnegative int")
+        n = _check_int("exponent", n, 0)
         out = MotClass.one()
         base = self
         while n:
@@ -178,8 +188,7 @@ class MotClass:
 
         m = 0 gives the Euler characteristic (the constant T-coefficient).
         """
-        if not isinstance(m, int) or m < 0:
-            raise ValueError("m must be a nonnegative int")
+        m = _check_int("m", m, 0)
         total = 0
         power = 1
         for c in self._coeffs:
@@ -272,10 +281,8 @@ def proj_class(d):
 
     d = -1 is allowed and gives the zero class (the empty space).
     """
-    if not isinstance(d, int) or d < -1:
-        raise ValueError("projective dimension must be an int >= -1")
     total = MotClass.zero()
-    for k in range(d + 1):
+    for k in range(_check_int("projective dimension", d, -1) + 1):
         total = total + MotClass.lefschetz(k)
     return total
 
@@ -285,17 +292,13 @@ def blowup_class(x, y, codim):
 
     Returns x + y * (proj_class(codim - 1) - 1); codim = 1 leaves x unchanged.
     """
-    if not isinstance(codim, int) or codim < 1:
-        raise ValueError("codimension must be a positive int")
-    return x + y * (proj_class(codim - 1) - MotClass.one())
+    return x + y * (proj_class(_check_int("codimension", codim, 1) - 1) - MotClass.one())
 
 
 def expand_falling(m):
     """Product of the m factors (T - 1)(T - 2)...(T - m); m = 0 gives 1."""
-    if not isinstance(m, int) or m < 0:
-        raise ValueError("factor count must be a nonnegative int")
     out = MotClass.one()
-    for j in range(1, m + 1):
+    for j in range(1, _check_int("factor count", m, 0) + 1):
         out = out * MotClass((-j, 1))
     return out
 
@@ -306,10 +309,8 @@ def signed_stirling1(m):
     These satisfy x(x-1)...(x-m+1) = sum_k s(m,k) x^k; the unsigned value
     |s(m,k)| counts permutations of m elements with k cycles.
     """
-    if not isinstance(m, int) or m < 0:
-        raise ValueError("m must be a nonnegative int")
     row = [1]
-    for i in range(1, m + 1):
+    for i in range(1, _check_int("m", m, 0) + 1):
         new = [0] * (i + 1)
         for k, v in enumerate(row):
             new[k] -= (i - 1) * v

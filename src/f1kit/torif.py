@@ -23,7 +23,7 @@ from itertools import product as iproduct
 from math import prod
 
 from .genseries import open_stratum_class
-from .motive import MotClass
+from .motive import MotClass, _check_int
 
 
 class TorifExpr:
@@ -65,8 +65,7 @@ class Torus(TorifExpr):
     __slots__ = ("dim",)
 
     def __init__(self, dim):
-        if not isinstance(dim, int) or dim < 0:
-            raise ValueError("torus dimension must be a nonnegative int")
+        dim = _check_int("torus dimension", dim, 0)
         self._store((dim,), (dim,), MotClass.torus(dim) if dim else MotClass.one(), ())
 
     def to_json(self):
@@ -267,10 +266,8 @@ def torify_proj_space(d):
     Cell k splits into its coordinate tori, one per subset: 2^0 + ... + 2^d
     atomic tori in total, with class sum_k (T+1)^k.
     """
-    if not isinstance(d, int) or d < 0:
-        raise ValueError("d must be a nonnegative int")
     pieces = []
-    for k in range(d + 1):
+    for k in range(_check_int("d", d, 0) + 1):
         for mask in range(2**k):
             pieces.append(("cell%d:t%d" % (k, mask), Torus(bin(mask).count("1"))))
     return ConstructibleTorification(pieces)
@@ -278,9 +275,7 @@ def torify_proj_space(d):
 
 def affine_space_expr(d):
     """Affine d-space as the product of d copies of (point + torus)."""
-    if not isinstance(d, int) or d < 0:
-        raise ValueError("d must be a nonnegative int")
-    return Product([DisjointUnion([Torus(0), Torus(1)]) for _ in range(d)])
+    return Product([DisjointUnion([Torus(0), Torus(1)]) for _ in range(_check_int("d", d, 0))])
 
 
 def affine_minus_points(d, r):
@@ -290,10 +285,7 @@ def affine_minus_points(d, r):
     the expression is the 1-torus minus r - 1 points; for d >= 2 the points
     are removed from the product cell structure.
     """
-    if not isinstance(d, int) or d < 1:
-        raise ValueError("d must be a positive int")
-    if not isinstance(r, int) or r < 0:
-        raise ValueError("r must be a nonnegative int")
+    d, r = _check_int("d", d, 1), _check_int("r", r, 0)
     if d == 1:
         if r == 0:
             return DisjointUnion([Torus(0), Torus(1)])
@@ -344,10 +336,7 @@ def constructible_open_stratum(d, n):
     configurations, and those are chains of punctured affine spaces.  The
     class equals open_stratum_class(d, n); n = 2 is the empty product.
     """
-    if not isinstance(d, int) or d < 1:
-        raise ValueError("d must be a positive int")
-    if not isinstance(n, int) or n < 2:
-        raise ValueError("n must be an int >= 2")
+    d, n = _check_int("d", d, 1), _check_int("n", n, 2)
     m = n - 2
     if m == 0:
         expr = Product(())
@@ -417,8 +406,7 @@ def blowup_decomposition(ct, center, codim):
     exceptional projective space of dimension codim - 1; everything else is
     kept.  The total class obeys the blowup formula exactly.
     """
-    if not isinstance(codim, int) or codim < 1:
-        raise ValueError("codimension must be a positive int")
+    codim = _check_int("codimension", codim, 1)
     sel = _normalize_selection(ct, center)
     if not is_strongly_complemented(ct, sel):
         raise ValueError("center is not strongly complemented")

@@ -25,7 +25,7 @@ from functools import lru_cache
 from itertools import combinations, product
 from math import comb
 
-from .motive import MotClass, blowup_class, proj_class
+from .motive import MotClass, _check_int, blowup_class, proj_class
 from .genseries import stratum_factor_class
 from .torif import _partitions
 
@@ -383,6 +383,14 @@ def contract_edge(tau, edge):
     return RootedTree(form=splice(tau._form))
 
 
+def _slots(tau, args):
+    """tau's markings in sorted label order, the inputs args[0], args[1], ... fill, one each."""
+    slots = sorted(tau.markings, key=_label_key)
+    if len(args) != len(slots):
+        raise ValueError("arity mismatch: tree takes %d inputs, got %d" % (len(slots), len(args)))
+    return slots
+
+
 def graft_all(tau, args):
     """Graft args[k] into the k-th input of tau (inputs in sorted label order).
 
@@ -390,9 +398,7 @@ def graft_all(tau, args):
     edges, one per argument.  Marking labels of the args must be pairwise
     disjoint.
     """
-    slots = sorted(tau.markings, key=_label_key)
-    if len(args) != len(slots):
-        raise ValueError("arity mismatch: tree takes %d inputs, got %d" % (len(slots), len(args)))
+    slots = _slots(tau, args)
     seen = set()
     for a in args:
         if a.markings & seen:
@@ -410,12 +416,9 @@ def compose(tau, args):
     nested forms: the root contents of argument k join the vertex of the
     k-th input.
     """
-    slots = sorted(tau.markings, key=_label_key)
-    if len(args) != len(slots):
-        raise ValueError("arity mismatch: tree takes %d inputs, got %d" % (len(slots), len(args)))
     contents = {}
     offset = 0
-    for slot, a in zip(slots, args):
+    for slot, a in zip(_slots(tau, args), args):
         old = sorted(a.markings, key=_label_key)
         contents[slot] = _canonical(a._form, {o: offset + i + 1 for i, o in enumerate(old)})
         offset += len(old)
@@ -491,8 +494,7 @@ def tree_class(tau, d):
     its hyperplane to the exceptional divisor.  Equals N [P^d] - (N-1) for N
     vertices; for d = 1 that is N T + N + 1.
     """
-    if not isinstance(d, int) or d < 1:
-        raise ValueError("d must be a positive int")
+    d = _check_int("d", d, 1)
     if not tau.is_stable():
         raise ValueError("unstable tree")
     pd = proj_class(d)
@@ -519,10 +521,8 @@ class StratumDescriptor:
     def __init__(self, tree, d):
         if not tree.is_stable():
             raise ValueError("stratum trees must be stable")
-        if not isinstance(d, int) or d < 1:
-            raise ValueError("d must be a positive int")
         object.__setattr__(self, "tree", tree)
-        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "d", _check_int("d", d, 1))
 
     def __setattr__(self, name, value):
         raise AttributeError("StratumDescriptor is immutable")
@@ -571,9 +571,8 @@ def _stable_forms(labels):
 
 def enumerate_stable_trees(n):
     """All stable rooted trees with inputs labeled 1..n, each exactly once."""
-    if not isinstance(n, int) or n < 2:
-        raise ValueError("n must be an int >= 2")
-    return [RootedTree(form=form, canonical=True) for form in _stable_forms(tuple(range(1, n + 1)))]
+    labels = tuple(range(1, _check_int("n", n, 2) + 1))
+    return [RootedTree(form=form, canonical=True) for form in _stable_forms(labels)]
 
 
 def strata_sum(d, n):
@@ -592,10 +591,7 @@ def strata_sum(d, n):
     them.  Equals tdn_class(d, n): the strata partition the compactified
     space.
     """
-    if not isinstance(d, int) or d < 1:
-        raise ValueError("d must be a positive int")
-    if not isinstance(n, int) or n < 2:
-        raise ValueError("n must be an int >= 2")
+    d, n = _check_int("d", d, 1), _check_int("n", n, 2)
     a = [MotClass.zero(), MotClass.one()]
     bell = [[MotClass.one()], [MotClass.zero(), MotClass.one()]]  # bell[m][k] = B_{m,k}
     for m in range(2, n + 1):
@@ -615,8 +611,5 @@ def strata_sum(d, n):
 
 def strata_table(d, n):
     """One StratumDescriptor per stable tree with n inputs, in canonical order."""
-    if not isinstance(n, int) or n < 2:
-        raise ValueError("n must be an int >= 2")
-    if not isinstance(d, int) or d < 1:
-        raise ValueError("d must be a positive int")
+    n, d = _check_int("n", n, 2), _check_int("d", d, 1)
     return [StratumDescriptor(tree, d) for tree in enumerate_stable_trees(n)]
