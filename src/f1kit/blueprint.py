@@ -139,7 +139,7 @@ def _compatible(i, j, full):
 
 def is_simplex(sigma, n):
     """True iff the indices are pairwise nested or jointly cover {1..n}."""
-    full = _full_mask(n)
+    full = _full_mask(_check_int("n", n, 4))
     return all(_compatible(a.mask, b.mask, full) for a, b in combinations(sigma, 2))
 
 
@@ -388,7 +388,7 @@ def invert_perm(p):
 
 def embed_perm(p, n):
     """View a permutation of 1..m as one of 1..n fixing the rest."""
-    if len(p) > n:
+    if len(p) > _check_int("n", n, 0):
         raise ValueError("cannot embed into a smaller set")
     return tuple(p) + tuple(range(len(p) + 1, n + 1))
 
@@ -467,7 +467,7 @@ class CrossedElem:
     __slots__ = ("n", "summands", "perm", "_body")
 
     def __init__(self, n, summands, perm):
-        summands = tuple(summands)
+        n, summands = _check_int("n", n, 4), tuple(summands)
         if not all(isinstance(m, Monomial) and m.n == n for m in summands):
             raise ValueError("summands must live over the same index set")
         summands = tuple(sorted(summands, key=Monomial.sort_key))

@@ -127,8 +127,8 @@ def _doc_points(args, fmt):
 
 def _doc_series(args, fmt):
     d, order = _check_int("d", args.d, 1), genseries._check_order(args.order)
-    genseries.tdn_class(d, order)  # one kernel run fills the memo for 1..order
-    series = genseries.EGFSeries(genseries.tdn_class(d, n) for n in range(1, order + 1))
+    read = genseries._read_off(d, order)  # one set of kernel runs serves every n
+    series = genseries.EGFSeries(read(n) for n in range(1, order + 1))
     if fmt == "json":
         return series.to_json(args.basis)
     rows = [(n, _poly(series.coeff(n), args.basis)) for n in range(1, series.order + 1)]

@@ -20,8 +20,8 @@ the coefficients as mbar0_class(n) instead is inconsistent with b_2 = 1 and
 with the d = 1 specialization, so the shifted indexing is used throughout.)
 
 All recursions are integral: binomials are exact and no rational scalars
-ever appear.  The memo table is a module-level dict filled with
-value-identical entries by pure functions, so concurrent fills are harmless.
+ever appear.  Nothing is memoized: no request reads the same class twice,
+so every call runs the kernel afresh and keeps no state.
 """
 
 from math import comb, factorial
@@ -54,7 +54,7 @@ class EGFSeries:
 
     def coeff(self, n):
         """c_n for 1 <= n <= order."""
-        if not 1 <= n <= self.order:
+        if not 1 <= _check_int("n", n) <= self.order:
             raise IndexError("coefficient %d outside truncation order %d" % (n, self.order))
         return self._coeffs[n - 1]
 
@@ -178,14 +178,8 @@ def solve_point_count_ode(d, m, order):
     return _tdn_values(d, order, m)
 
 
-_TDN_CACHE = {}  # (d, n) -> class
-
 # Slot width in bytes from which tdn_class interpolates rather than unpacks.
 _INTERPOLATE_WIDTH = 48
-
-
-def clear_caches():
-    _TDN_CACHE.clear()
 
 
 def _check_tdn(d, n):
@@ -204,7 +198,7 @@ def mbar0_class(n):
     Recursion: c_{n+2} = c_{n+1} + L sum_{i+j=n+1, i>=2} C(n,i) c_{i+1} c_{j+1}
     with c_2 = c_3 = 1: the d = 1 case of tdn_class shifted by one,
     mbar0_class(n) = tdn_class(1, n - 1), computed by the same folded kernel
-    and read-off, and memoized there.
+    and read-off.
     """
     return tdn_class(*_mbar0_as_tdn(n))
 
@@ -238,22 +232,22 @@ def tdn_class(d, n):
 
     Either guard raises AssertionError.  Measured at d = 1..4, the
     interpolation first beats the packed run at a width of 46-52 bytes,
-    hence the cutoff of 48.  A miss fills (d, 1)..(d, n) either way.
+    hence the cutoff of 48.  Only class n is read off; nothing is kept.
     """
     d, n = _check_tdn(d, n)
-    if (d, n) not in _TDN_CACHE:
-        sums = _tdn_values(d, n, 1)
-        width = (max(sums).bit_length() + 7) // 8
-        if width < _INTERPOLATE_WIDTH:
-            packed = _tdn_values(d, n, 1 << 8 * width)
-            classes = (_unpack(value, width, total) for value, total in zip(packed, sums))
-        else:
-            runs = [sums if t == 1 else _tdn_values(d, n, t) for t in range(max(d * (n - 1), 1) + 1)]
-            by_k = enumerate(zip(*runs), start=1)
-            classes = (_interpolate(values[: max(d * (k - 1), 1) + 1]) for k, values in by_k)
-        for k, coeffs in enumerate(classes, start=1):
-            _TDN_CACHE[(d, k)] = MotClass(coeffs)
-    return _TDN_CACHE[(d, n)]
+    return _read_off(d, n)(n)
+
+
+def _read_off(d, n):
+    """k -> tdn_class(d, k) for 1 <= k <= n, read off one set of kernel runs (see tdn_class)."""
+    sums = _tdn_values(d, n, 1)
+    width = (max(sums).bit_length() + 7) // 8
+    if width < _INTERPOLATE_WIDTH:
+        packed = _tdn_values(d, n, 1 << 8 * width)
+        return lambda k: MotClass(_unpack(packed[k - 1], width, sums[k - 1]))
+    runs = [sums if t == 1 else _tdn_values(d, n, t) for t in range(max(d * (n - 1), 1) + 1)]
+    by_k = list(zip(*runs))
+    return lambda k: MotClass(_interpolate(by_k[k - 1][: max(d * (k - 1), 1) + 1]))
 
 
 def f1m_count(d, n, m):

@@ -17,17 +17,17 @@ from math import comb
 from operator import index, neg
 
 
-def _check_int(name, value, low, floor=None):
-    """value as a plain int, if it is an int >= low; a bool counts as its int.
+def _check_int(name, value, low=None, floor=None):
+    """value as a plain int, if it is an int >= low, or any int if low is None; a bool counts as its int.
 
     Otherwise raises ValueError("<name> must be <floor>"), the floor by
-    default "a positive int" for low 1, "a nonnegative int" for low 0 and
-    "an int >= <low>" for any other low.
+    default "an int" for no low, "a positive int" for low 1, "a nonnegative
+    int" for low 0 and "an int >= <low>" for any other low.
     """
-    if isinstance(value, int) and value >= low:
+    if isinstance(value, int) and (low is None or value >= low):
         return index(value)
     if floor is None:
-        floor = {0: "a nonnegative int", 1: "a positive int"}.get(low, "an int >= %d" % low)
+        floor = {None: "an int", 0: "a nonnegative int", 1: "a positive int"}.get(low) or "an int >= %d" % low
     raise ValueError("%s must be %s" % (name, floor))
 
 
@@ -104,7 +104,7 @@ class MotClass:
         raise ValueError("basis must be 'T' or 'L'")
 
     def coefficient(self, k):
-        return self._coeffs[k] if 0 <= k < len(self._coeffs) else 0
+        return self._coeffs[k] if 0 <= _check_int("k", k) < len(self._coeffs) else 0
 
     # -- ring structure -------------------------------------------------
 
@@ -162,7 +162,7 @@ class MotClass:
 
     def __hash__(self):
         # equal to an int when of degree <= 0, so it must hash as that int
-        return hash(self._coeffs) if len(self._coeffs) > 1 else hash(self.coefficient(0))
+        return hash(self._coeffs) if len(self._coeffs) > 1 else hash(sum(self._coeffs))
 
     def __bool__(self):
         return bool(self._coeffs)

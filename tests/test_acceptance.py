@@ -123,7 +123,7 @@ def _in_degrees(form):
 def enumerated_strata_sum(d, n):
     """Strata total by listing every stable tree, grouped by in-degree profile."""
     profiles = Counter(
-        tuple(sorted(_in_degrees(form))) for form in _stable_forms(tuple(range(1, n + 1)))
+        tuple(sorted(_in_degrees(form))) for _, form in _stable_forms(tuple(range(1, n + 1)), {})
     )
     total = MotClass.zero()
     for profile, count in profiles.items():

@@ -2,8 +2,8 @@
 
 ``perfbench/refs.json`` holds the sha256 of the exit status and output of
 every request the benchmark can send.  These tests replay a fixed share of
-them, each in a child forked from this process with fresh class memos, as
-the benchmark runs them:
+them, each in a child forked from this process, as the benchmark runs
+them:
 
 - every classes and every combinatorics request;
 - every cli ``points`` and ``series`` request;
@@ -24,7 +24,6 @@ import time
 
 import pytest
 
-from f1kit import genseries
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 sys.path.insert(0, PERFBENCH)
@@ -50,7 +49,6 @@ def mismatches(requests):
     """Keys of the requests whose digest differs from refs.json."""
     with open(os.path.join(PERFBENCH, "refs.json"), encoding="utf-8") as fh:
         refs = json.load(fh)
-    genseries.clear_caches()
     out = []
     for req in requests:
         key = workloads.request_key(req)

@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 from f1kit import genseries
 from f1kit.genseries import (
     EGFSeries,
-    clear_caches,
     f1m_count,
     m0_open_class,
     mbar0_class,
@@ -231,7 +230,6 @@ class TestKernel:
 
     @pytest.mark.parametrize("d", [1, 2, 3, 4])
     def test_classes_match_series_solver(self, d):
-        clear_caches()
         series = solve_tdn_ode(d, 30)
         for n in range(1, 31):
             assert tdn_class(d, n) == series.coeff(n), "d=%d n=%d" % (d, n)
@@ -244,17 +242,16 @@ class TestKernel:
             assert solve_point_count_ode(d, m, 30) == want, "d=%d m=%d" % (d, m)
 
     def test_mbar0_is_tdn_shifted(self):
-        clear_caches()
         for n in range(2, 61):
             assert mbar0_class(n) == tdn_class(1, n - 1), "n=%d" % n
 
     def test_memo_grows_to_fresh_values(self):
-        clear_caches()
-        small = tdn_class(2, 10)
-        grown = tdn_class(2, 30)
-        clear_caches()
-        assert tdn_class(2, 30) == grown
-        assert tdn_class(2, 10) == small
+        # (2, 10) and (2, 30) are read off at different slot widths
+        assert _width(2, 10) < _width(2, 30)
+        small, grown = genseries._read_off(2, 10), genseries._read_off(2, 30)
+        assert [grown(k) for k in range(1, 11)] == [small(k) for k in range(1, 11)]
+        assert tdn_class(2, 30) == grown(30)
+        assert tdn_class(2, 10) == small(10)
 
     @given(st.integers(1, 4), st.integers(1, 60), st.sampled_from([0, 1, 9, 2**64]))
     def test_matches_comb_oracle(self, d, order, t):
@@ -275,11 +272,10 @@ class TestKernel:
 
 
 def _fill(monkeypatch, d, n, cutoff):
-    # one tdn_class miss with the given cutoff; returns the memo's (d, 1..n)
+    # one read-off of (d, n) with the given cutoff; returns its classes (d, 1..n)
     monkeypatch.setattr(genseries, "_INTERPOLATE_WIDTH", cutoff)
-    clear_caches()
-    tdn_class(d, n)
-    return [genseries._TDN_CACHE[(d, k)] for k in range(1, n + 1)]
+    read = genseries._read_off(d, n)
+    return [read(k) for k in range(1, n + 1)]
 
 
 def _width(d, n):
@@ -320,28 +316,25 @@ class TestReadOffRoutes:
         calls = []
         interpolate = genseries._interpolate
         monkeypatch.setattr(genseries, "_interpolate", lambda values: calls.append(1) or interpolate(values))
-        clear_caches()
         assert _width(1, 66) < genseries._INTERPOLATE_WIDTH <= _width(1, 68)
         tdn_class(1, 66)
         assert not calls
         tdn_class(1, 68)
-        assert len(calls) == 68
+        assert len(calls) == 1
 
     def test_interpolated_fill_matches_series_solver(self):
         # (1, 70) has a slot width of 49 bytes, so it is interpolated
         assert _width(1, 70) >= genseries._INTERPOLATE_WIDTH
-        clear_caches()
         series = solve_tdn_ode(1, 70)
-        tdn_class(1, 70)
+        read = genseries._read_off(1, 70)
         for n in range(1, 71):
-            assert genseries._TDN_CACHE[(1, n)] == series.coeff(n), "n=%d" % n
+            assert read(n) == series.coeff(n), "n=%d" % n
 
     @pytest.mark.parametrize("node", [0, 1, 7, 21])
     def test_interpolation_guard_catches_a_bumped_node(self, monkeypatch, node):
         # nodes 0..21 pin tdn_class(3, 8), of degree 20
         _corrupt(monkeypatch, lambda t: int(t == node))
         monkeypatch.setattr(genseries, "_INTERPOLATE_WIDTH", self.INTERPOLATED)
-        clear_caches()
         with pytest.raises(AssertionError, match="last difference is nonzero"):
             tdn_class(3, 8)
 
@@ -350,13 +343,11 @@ class TestReadOffRoutes:
         # 20, but makes the second Newton coefficient a half
         _corrupt(monkeypatch, lambda t: t * (t - 1) // 2)
         monkeypatch.setattr(genseries, "_INTERPOLATE_WIDTH", self.INTERPOLATED)
-        clear_caches()
         with pytest.raises(AssertionError, match="difference 2 is not a multiple of 2!"):
             tdn_class(3, 8)
 
     def test_interpolation_guard_on_the_default_route(self, monkeypatch):
         _corrupt(monkeypatch, lambda t: int(t == 40))
-        clear_caches()
         with pytest.raises(AssertionError):
             tdn_class(1, 70)
 
@@ -365,6 +356,5 @@ class TestReadOffRoutes:
         width = _width(2, 12)
         assert width < genseries._INTERPOLATE_WIDTH
         _corrupt(monkeypatch, lambda t: int(t == 1 << 8 * width))
-        clear_caches()
         with pytest.raises(AssertionError, match="carried"):
             tdn_class(2, 12)

@@ -12,21 +12,24 @@ from pathlib import Path
 import pytest
 
 import f1kit
-from f1kit import genseries
 from f1kit.blueprint import (
+    CrossedElem,
     Monomial,
     SubsetIndex,
     centralizer_subgroup,
     count_max_simplexes,
     crossed_identity,
+    embed_perm,
     full_product_monomial,
     index_set,
+    is_simplex,
     localize_relation,
     plucker_relations,
     separation_monomial,
     unit_monomial,
 )
 from f1kit.genseries import (
+    EGFSeries,
     f1m_count,
     m0_open_class,
     mbar0_class,
@@ -117,6 +120,9 @@ _ENTRIES = [
     ("plucker_relations", plucker_relations, 4, "n must be an int >= 4"),
     ("separation_monomial", lambda n: separation_monomial(n, (1, 2), (3, 4)), 4, "n must be an int >= 4"),
     ("crossed_identity", crossed_identity, 4, "n must be an int >= 4"),
+    ("CrossedElem", lambda n: CrossedElem(n, [], (1, 2, 3, 4)), 4, "n must be an int >= 4"),
+    ("is_simplex", lambda n: is_simplex([], n), 4, "n must be an int >= 4"),
+    ("embed_perm", lambda n: embed_perm((), n), 0, "n must be a nonnegative int"),
     ("Monomial.n", Monomial, 4, "n must be an int >= 4"),
     ("Monomial.exps", lambda e: Monomial(5, [(_IDX, e)]), 0, "exponents must be nonnegative ints"),
     ("Monomial.f_denominator", lambda f: Monomial(5, (), f), 0, "denominator power must be a nonnegative int"),
@@ -135,6 +141,18 @@ _ROWS += [
     pytest.param(lambda d: stratum_factor_class(d, 3), 1.0, "projective dimension must be an int >= -1",
                  id="stratum_factor_class.d(1.0)"),
     pytest.param(lambda d: stratum_factor_class(d, 3), 0, "d must be a positive int", id="stratum_factor_class.d(0)"),
+]
+# the n of a blueprint entry is checked before its other arguments
+_ROWS += [
+    pytest.param(lambda n: CrossedElem(n, [], (1, 2, 3)), 3, "n must be an int >= 4", id="CrossedElem(3, (1, 2, 3))"),
+    pytest.param(lambda n: is_simplex([], n), "a", "n must be an int >= 4", id="is_simplex('a')"),
+    pytest.param(lambda n: embed_perm((1, 2), n), 1.5, "n must be a nonnegative int", id="embed_perm((1, 2), 1.5)"),
+]
+# an index may be any int, so only a non-int is refused
+_ROWS += [
+    pytest.param(_X.coefficient, 1.5, "k must be an int", id="MotClass.coefficient(1.5)"),
+    pytest.param(_X.coefficient, "1", "k must be an int", id="MotClass.coefficient('1')"),
+    pytest.param(EGFSeries([MotClass.one(), _X]).coeff, 1.0, "n must be an int", id="EGFSeries.coeff(1.0)"),
 ]
 
 
@@ -208,13 +226,14 @@ class TestBoolsBecomeInts:
     def test_stratum_descriptor_d(self):
         assert type(StratumDescriptor(_TREE, True).d) is int
 
-    def test_tdn_cache_keys(self):
-        genseries.clear_caches()
-        try:
-            assert tdn_class(True, 3) == tdn_class(1, 3)
-            assert {type(d) for d, _ in genseries._TDN_CACHE} == {int}
-        finally:
-            genseries.clear_caches()
+
+def test_an_index_outside_the_range_keeps_its_answer():
+    assert [_X.coefficient(k) for k in (-1, 0, 1, 2, True)] == [0, 1, 1, 0, 1]
+    series = EGFSeries([MotClass.one(), _X])
+    assert series.coeff(True) == series.coeff(1) == MotClass.one()
+    for n in (0, 3):
+        with pytest.raises(IndexError, match="outside truncation order 2"):
+            series.coeff(n)
 
 
 def test_integer_rule_is_stated_once():

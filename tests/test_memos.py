@@ -1,0 +1,57 @@
+"""Memos only where a request reuses them across calls.
+
+A request runs in a fresh process, so a process-wide memo pays only if one
+request reads it many times.  Three do: treeop._canon_str (a compose and its
+result's canonical_str() share strings), treeop._profile_class (a strata
+table asks for a few in-degree profiles thousands of times) and
+blueprint._TABLES (capped at n <= 12).  Every other table lives for one call.
+"""
+
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import f1kit
+
+KEPT = {"blueprint.py:_TABLES", "treeop.py:_canon_str", "treeop.py:_profile_class"}
+
+_SOURCES = {path.name: path.read_text() for path in Path(f1kit.__file__).parent.glob("*.py")}
+
+
+def test_only_the_kept_memos_remain():
+    """Every lru_cache'd function and module-level dict table in src is one of the three kept."""
+    cached = re.compile(r"^@(?:functools\.)?(?:lru_cache|cache)\b.*\n(?:@.*\n)*def (\w+)", re.M)
+    table = re.compile(r"^(\w+)\s*=\s*(?:\{\}|dict\(\))", re.M)
+    found = {
+        "%s:%s" % (name, m.group(1))
+        for name, text in _SOURCES.items()
+        for pattern in (cached, table)
+        for m in pattern.finditer(text)
+    }
+    assert found == KEPT
+
+
+_LEFT_BEHIND = """
+import gc, sys
+import f1kit
+
+def tracked():
+    gc.collect()
+    return len(gc.get_objects())
+
+before = tracked()
+eval(sys.argv[1], vars(f1kit))
+print(tracked() - before)
+"""
+
+
+@pytest.mark.parametrize("request_", ["strata_table(1, 6)", "mbar0_class(80)"])
+def test_a_request_leaves_no_objects_behind(request_):
+    # in a fresh process, as each request runs; the result itself is dropped
+    env = dict(os.environ, PYTHONPATH=str(Path(f1kit.__file__).parent.parent))
+    out = subprocess.run([sys.executable, "-c", _LEFT_BEHIND, request_], capture_output=True, env=env, check=True)
+    assert int(out.stdout) < 100

@@ -5,12 +5,14 @@ from itertools import permutations, product
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from f1kit import treeop
 from f1kit.genseries import stratum_factor_class, tdn_class
 from f1kit.motive import MotClass, proj_class
 from f1kit.torif import torify_tree_curve
 from f1kit.treeop import (
     RootedTree,
     StratumDescriptor,
+    _canon_str,
     _canonical,
     _graft,
     _label_key,
@@ -528,8 +530,17 @@ class TestFlagOracles:
 
     def test_enumerated_forms_are_canonical(self):
         for n in range(2, 7):
-            for form in _stable_forms(tuple(range(1, n + 1))):
+            for text, form in _stable_forms(tuple(range(1, n + 1)), {}):
                 assert _canonical(form) == form
+                assert text == _canon_str(form)
+
+    def test_enumerated_strings_and_order_match_the_serialization(self):
+        # the oracle for the strings the enumeration carries: _canon_str of each form
+        for n in range(2, 7):
+            trees = enumerate_stable_trees(n)
+            assert [t.canonical_str() for t in trees] == [_canon_str(t.to_nested()) for t in trees]
+            forms = [t.to_nested() for t in trees]
+            assert forms == sorted(forms, key=_canon_str)
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_stratum_class_is_product_over_vertices(self, d):
@@ -729,10 +740,11 @@ class TestStrataSum:
         with pytest.raises(ValueError):
             StratumDescriptor(RootedTree.unit(), 1)
 
-    def test_table_checks_n_then_d_before_enumerating(self):
-        before = _stable_forms.cache_info()
+    def test_table_checks_n_then_d_before_enumerating(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(treeop, "_stable_forms", lambda *args: calls.append(args))
         with pytest.raises(ValueError, match="d must be a positive int"):
             strata_table(0, 12)
-        assert _stable_forms.cache_info() == before
+        assert calls == []
         with pytest.raises(ValueError, match="n must be an int >= 2"):
             strata_table(0, 1)
