@@ -127,7 +127,7 @@ def _doc_points(args, fmt):
 
 def _doc_series(args, fmt):
     d, order = _check_int("d", args.d, 1), genseries._check_order(args.order)
-    read = genseries._read_off(d, order)  # one set of kernel runs serves every n
+    read = genseries._read_off(d, order)  # one kernel pass serves every n
     series = genseries.EGFSeries(read(n) for n in range(1, order + 1))
     if fmt == "json":
         return series.to_json(args.basis)

@@ -3,14 +3,17 @@
 The class recursions ``mbar0_class`` / ``tdn_class`` and the point counts
 ``solve_point_count_ode`` / ``f1m_count`` share one integer kernel: the tdn
 recursion with T evaluated at an integer, its convolution folded in half.
-Point counts are its values at T = m, read off without building a class.
-Classes are read off its values in one of two ways, chosen by the slot width
-that a run at T = 1 gives: a small class from one run at T = 2^w, whose
-digits are its coefficients, and a big one by exact interpolation through
-runs at T = 0, 1, 2, ...  Every count and series the CLI prints comes from
-this kernel.  The coefficient-extraction solver
-``solve_tdn_ode`` for the defining differential equation runs over MotClass
-and is the independent oracle the test suite checks the kernel against.
+One kernel pass runs the recursion at any set of integer nodes, sharing the
+binomial row of each step among them.  Point counts are its values at
+T = m, read off without building a class.  Classes are read off one pass in
+one of two ways, chosen by the slot width that a run at T = 1 gives: a small
+class from the pair T = X, -X, whose halved sum and difference hold its even
+and odd coefficients as digits (Kronecker substitution at +-2^s, Harvey
+2009), and a big one by exact interpolation through T = 0, 1, 2, ...  Every
+count and series the CLI prints comes from this kernel.  The
+coefficient-extraction solver ``solve_tdn_ode`` for the defining
+differential equation runs over MotClass and is the independent oracle the
+test suite checks the kernel against.
 
 Series convention.  The solved series is psi(t) = sum_{n>=1} b_n t^n / n!
 with b_1 = 1.  For the d-parameter family, b_n is the class of the space of
@@ -103,34 +106,52 @@ def solve_tdn_ode(d, order):
     return EGFSeries(b)
 
 
-def _tdn_values(d, order, t):
-    """b_1..b_order of the tdn recursion (see tdn_class) at the integer T = t.
+def _tdn_runs(d, order, nodes):
+    """[b_1..b_order of the tdn recursion (see tdn_class) at T = t] for each integer t in nodes.
 
     The sum is folded by its symmetry i <-> n+1-i, as C(n,i) + C(n,i-1) =
     C(n+1,i): sum_{i=2}^{floor(n/2)} C(n+1,i) b_i b_{n+1-i}, plus C(n,h) b_h^2
     with h = (n+1)/2 for odd n.  That halves the big multiplications.  The
-    binomial row is carried along, C(n+1, .) built from C(n, .) once per step.
+    binomial row is carried along, C(n+1, .) built from C(n, .) once per step
+    and shared by every node; each node then runs its own scalar sum.
     """
-    lef = t + 1
-    p_lo, p_mid, p_hi = (sum(lef**k for k in range(j + 1)) for j in (d - 2, d - 1, d))
-    lin, hyper = lef * p_lo, lef * p_mid
-    b = [0, 1, p_mid]  # b[0] pads the 1-based indexing
+    runs, factors = [], []
+    for t in nodes:
+        lef = t + 1
+        p_lo, p_mid, p_hi = (sum(lef**k for k in range(j + 1)) for j in (d - 2, d - 1, d))
+        runs.append([0, 1, p_mid])  # b[0] pads the 1-based indexing
+        factors.append((p_hi, lef * p_lo, lef * p_mid))
     row = [1, 2, 1]  # C(n, .)
     for n in range(2, order):
         nxt = [1, *map(add, row, row[1:]), 1]
         h = n // 2
-        total = sum(map(mul, map(mul, nxt[2 : h + 1], b[2 : h + 1]), b[n - 1 : n - h : -1]))
-        if n % 2:
-            total += row[h + 1] * b[h + 1] ** 2
-        b.append((p_hi + n * lin) * b[n] + hyper * total)
+        binoms, square = nxt[2 : h + 1], row[h + 1]
+        for b, (p_hi, lin, hyper) in zip(runs, factors):
+            total = sum(map(mul, map(mul, binoms, b[2 : h + 1]), b[n - 1 : n - h : -1]))
+            if n % 2:
+                total += square * b[h + 1] ** 2
+            b.append((p_hi + n * lin) * b[n] + hyper * total)
         row = nxt
-    return b[1 : order + 1]
+    return [b[1 : order + 1] for b in runs]
 
 
-def _unpack(value, width, total):
-    """Base-2^(8*width) digits of value, ascending; a carry makes their sum < total."""
-    raw = value.to_bytes((value.bit_length() + 7) // 8, "little")
-    digits = [int.from_bytes(raw[i : i + width], "little") for i in range(0, len(raw), width)]
+def _unpack(plus, minus, width, total):
+    """Coefficients of P, ascending, from P(X) and P(-X) with X = 2^(4*width).
+
+    (P(X) + P(-X))/2 holds the even coefficients and (P(X) - P(-X))/(2X) the
+    odd ones, each as base-2^(8*width) digits.  Both divisions must be exact
+    and both quotients nonnegative; a carry makes the digit sum < total.
+    """
+    halves = []
+    for value, divisor in ((plus + minus, 2), (plus - minus, 2 << 4 * width)):
+        half, rem = divmod(value, divisor)
+        if rem or half < 0:
+            raise AssertionError("the runs at X and -X do not split into nonnegative even and odd parts")
+        raw = half.to_bytes((half.bit_length() + 7) // 8, "little")
+        halves.append([int.from_bytes(raw[i : i + width], "little") for i in range(0, len(raw), width)])
+    digits = [0] * (2 * max(map(len, halves)))
+    for parity, slots in enumerate(halves):
+        digits[parity : 2 * len(slots) : 2] = slots  # the shorter half is padded by the zeros
     if sum(digits) != total:
         raise AssertionError("slot width of %d bytes is too small: coefficients carried" % width)
     return digits
@@ -175,11 +196,11 @@ def solve_point_count_ode(d, m, order):
     [P^d] + n L [P^(d-2)]), so this runs the folded kernel at t = m.
     """
     d, m, order = _check_int("d", d, 1), _check_int("m", m, 0), _check_order(order)
-    return _tdn_values(d, order, m)
+    return _tdn_runs(d, order, (m,))[0]
 
 
 # Slot width in bytes from which tdn_class interpolates rather than unpacks.
-_INTERPOLATE_WIDTH = 48
+_INTERPOLATE_WIDTH = 40
 
 
 def _check_tdn(d, n):
@@ -216,37 +237,40 @@ def tdn_class(d, n):
     the sum factor is [P^(d-1)], which is what both the series equation and
     the d = 1 oracle require.
 
-    The recursion runs on integers, its sum folded in half (_tdn_values).
+    The recursion runs on integers, its sum folded in half (_tdn_runs).
     Every [P^k] has nonnegative T-coefficients and the recursion only adds
     and multiplies, so each coefficient of t_k lies in [0, t_k(1)].  A run
     at T = 1 bounds them all, in a slot width of w bytes, and the class is
-    read off by one of two routes:
+    read off one more kernel pass by one of two routes:
 
-    * w below _INTERPOLATE_WIDTH: one run at T = 2^(8w) puts each
-      coefficient in its own w-byte slot.  A carry between slots would make
-      the digit sum miss t_k(1), so that check guards the read-off.
-    * otherwise: t_k has degree below e_k = max(d(k-1), 1), so runs at
-      T = 0..e_n give each t_k by Newton forward differences over the
-      nodes 0..e_k.  A division by j! that leaves a remainder, or a last
-      difference that is not 0, guards this read-off.
+    * w below _INTERPOLATE_WIDTH: the pass runs at T = X and T = -X with
+      X = 2^(4w).  Half their sum has the even coefficients in w-byte
+      slots, and their difference over 2X the odd ones; each run has half
+      the bits of a single run at 2^(8w).  Both divisions must be exact,
+      and a carry between slots would make the digit sum miss t_k(1), so
+      those checks guard the read-off.
+    * otherwise: t_k has degree below e_k = max(d(k-1), 1), so the pass
+      runs at T = 0..e_n and gives each t_k by Newton forward differences
+      over the nodes 0..e_k.  A division by j! that leaves a remainder, or
+      a last difference that is not 0, guards this read-off.
 
     Either guard raises AssertionError.  Measured at d = 1..4, the
-    interpolation first beats the packed run at a width of 46-52 bytes,
-    hence the cutoff of 48.  Only class n is read off; nothing is kept.
+    interpolation first beats the pair at a width of 37-41 bytes, hence the
+    cutoff of 40.  Only class n is read off; nothing is kept.
     """
     d, n = _check_tdn(d, n)
     return _read_off(d, n)(n)
 
 
 def _read_off(d, n):
-    """k -> tdn_class(d, k) for 1 <= k <= n, read off one set of kernel runs (see tdn_class)."""
-    sums = _tdn_values(d, n, 1)
+    """k -> tdn_class(d, k) for 1 <= k <= n, read off one kernel pass (see tdn_class)."""
+    (sums,) = _tdn_runs(d, n, (1,))
     width = (max(sums).bit_length() + 7) // 8
     if width < _INTERPOLATE_WIDTH:
-        packed = _tdn_values(d, n, 1 << 8 * width)
-        return lambda k: MotClass(_unpack(packed[k - 1], width, sums[k - 1]))
-    runs = [sums if t == 1 else _tdn_values(d, n, t) for t in range(max(d * (n - 1), 1) + 1)]
-    by_k = list(zip(*runs))
+        x = 1 << 4 * width
+        plus, minus = _tdn_runs(d, n, (x, -x))
+        return lambda k: MotClass(_unpack(plus[k - 1], minus[k - 1], width, sums[k - 1]))
+    by_k = list(zip(*_tdn_runs(d, n, range(max(d * (n - 1), 1) + 1))))
     return lambda k: MotClass(_interpolate(by_k[k - 1][: max(d * (k - 1), 1) + 1]))
 
 

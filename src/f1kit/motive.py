@@ -14,7 +14,7 @@ freely between threads or workers.
 
 from itertools import accumulate
 from math import comb
-from operator import index, neg
+from operator import add, index, neg
 
 
 def _check_int(name, value, low=None, floor=None):
@@ -113,15 +113,12 @@ class MotClass:
         a, b = self._coeffs, other._coeffs
         if len(a) < len(b):
             a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return MotClass(out)
+        return _of_ints([*map(add, a, b), *a[len(b) :]])
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MotClass(tuple(-c for c in self._coeffs))
+        return _of_ints(list(map(neg, self._coeffs)))
 
     def __sub__(self, other):
         return self + (-_coerce(other))
@@ -130,15 +127,16 @@ class MotClass:
         return _coerce(other) - self
 
     def __mul__(self, other):
-        other = _coerce(other)
-        a, b = self._coeffs, other._coeffs
+        if isinstance(other, int):
+            return _of_ints([c * other for c in self._coeffs])
+        a, b = self._coeffs, _coerce(other)._coeffs
         if not a or not b:
             return MotClass()
         out = [0] * (len(a) + len(b) - 1)
         for i, x in enumerate(a):
             for j, y in enumerate(b):
                 out[i + j] += x * y
-        return MotClass(out)
+        return _of_ints(out)
 
     __rmul__ = __mul__
 
@@ -223,11 +221,20 @@ class MotClass:
         return cls.from_coeffs(coeffs, basis)
 
 
+def _of_ints(coeffs):
+    """The MotClass of a list of ints, which it trims and takes over unchecked: for ring results."""
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    out = object.__new__(MotClass)
+    object.__setattr__(out, "_coeffs", tuple(coeffs))
+    return out
+
+
 def _coerce(x):
     if isinstance(x, MotClass):
         return x
     if isinstance(x, int):
-        return MotClass((x,))
+        return _of_ints([x])
     raise TypeError("cannot combine MotClass with %r" % (x,))
 
 

@@ -174,8 +174,9 @@ class RootedTree:
 # -- nested forms -------------------------------------------------------------
 
 
-# kept across calls: a compose and its result's canonical_str() share strings (operad ~10% faster)
-@lru_cache(maxsize=None)
+# kept across calls: a compose and its result's canonical_str() share strings (operad ~10% faster);
+# bounded so a long-lived caller cannot grow it without limit (an operad batch fills < 300 entries)
+@lru_cache(maxsize=4096)
 def _canon_str(form):
     inputs, subs = form
     return "(%s|%s)" % (",".join(repr(m) for m in inputs), ";".join(_canon_str(c) for c in subs))

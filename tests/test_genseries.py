@@ -21,7 +21,7 @@ L = MotClass.lefschetz()
 
 
 def comb_kernel(d, order, t):
-    # the folded kernel with one math.comb per term: oracle for _tdn_values
+    # the folded kernel at one node with one math.comb per term: oracle for _tdn_runs
     lef = t + 1
     p_lo, p_mid, p_hi = (sum(lef**k for k in range(j + 1)) for j in (d - 2, d - 1, d))
     lin, hyper = lef * p_lo, lef * p_mid
@@ -253,22 +253,25 @@ class TestKernel:
         assert tdn_class(2, 30) == grown(30)
         assert tdn_class(2, 10) == small(10)
 
-    @given(st.integers(1, 4), st.integers(1, 60), st.sampled_from([0, 1, 9, 2**64]))
-    def test_matches_comb_oracle(self, d, order, t):
-        assert genseries._tdn_values(d, order, t) == comb_kernel(d, order, t)
+    @given(st.integers(1, 4), st.integers(1, 60), st.lists(st.sampled_from([0, 1, 9, -9, 2**64, -(2**64)]), max_size=4))
+    def test_matches_comb_oracle(self, d, order, nodes):
+        assert genseries._tdn_runs(d, order, nodes) == [comb_kernel(d, order, t) for t in nodes]
 
     def test_point_count_order_one(self):
         assert solve_point_count_ode(3, 4, 1) == [1]
 
     def test_digit_sum_guard(self):
-        sums = genseries._tdn_values(2, 12, 1)
+        (sums,) = genseries._tdn_runs(2, 12, (1,))
         width = (max(sums).bit_length() + 7) // 8
         assert width > 1
-        packed = genseries._tdn_values(2, 12, 1 << 8 * width)
-        assert genseries._unpack(packed[-1], width, sums[-1]) == list(tdn_class(2, 12).coeffs)
-        narrow = genseries._tdn_values(2, 12, 1 << 8 * (width - 1))
+        x = 1 << 4 * width
+        plus, minus = genseries._tdn_runs(2, 12, (x, -x))
+        assert MotClass(genseries._unpack(plus[-1], minus[-1], width, sums[-1])) == tdn_class(2, 12)
+        # one byte too few: both halves still divide exactly, but their slots carry
+        x = 1 << 4 * (width - 1)
+        plus, minus = genseries._tdn_runs(2, 12, (x, -x))
         with pytest.raises(AssertionError, match="carried"):
-            genseries._unpack(narrow[-1], width - 1, sums[-1])
+            genseries._unpack(plus[-1], minus[-1], width - 1, sums[-1])
 
 
 def _fill(monkeypatch, d, n, cutoff):
@@ -279,19 +282,20 @@ def _fill(monkeypatch, d, n, cutoff):
 
 
 def _width(d, n):
-    return (max(genseries._tdn_values(d, n, 1)).bit_length() + 7) // 8
+    return (max(genseries._tdn_runs(d, n, (1,))[0]).bit_length() + 7) // 8
 
 
 def _corrupt(monkeypatch, bump):
-    # the kernel with bump(t) added to its last value at T = t
-    kernel = genseries._tdn_values
+    # the kernel with bump(t) added to its last value at each node T = t
+    kernel = genseries._tdn_runs
 
-    def corrupted(d, order, t):
-        values = kernel(d, order, t)
-        values[-1] += bump(t)
-        return values
+    def corrupted(d, order, nodes):
+        runs = kernel(d, order, nodes)
+        for t, values in zip(nodes, runs):
+            values[-1] += bump(t)
+        return runs
 
-    monkeypatch.setattr(genseries, "_tdn_values", corrupted)
+    monkeypatch.setattr(genseries, "_tdn_runs", corrupted)
 
 
 class TestReadOffRoutes:
@@ -299,7 +303,7 @@ class TestReadOffRoutes:
 
     PACKED, INTERPOLATED = 10**9, 0
 
-    @pytest.mark.parametrize("d,below,above", [(1, 66, 70), (2, 52, 56), (3, 45, 48), (4, 41, 43)])
+    @pytest.mark.parametrize("d,below,above", [(1, 57, 60), (2, 45, 48), (3, 39, 41), (4, 35, 36)])
     def test_routes_agree_across_the_cutoff(self, monkeypatch, d, below, above):
         assert _width(d, below) < genseries._INTERPOLATE_WIDTH <= _width(d, above)
         for n in (below, above):
@@ -316,11 +320,21 @@ class TestReadOffRoutes:
         calls = []
         interpolate = genseries._interpolate
         monkeypatch.setattr(genseries, "_interpolate", lambda values: calls.append(1) or interpolate(values))
-        assert _width(1, 66) < genseries._INTERPOLATE_WIDTH <= _width(1, 68)
-        tdn_class(1, 66)
+        assert _width(1, 58) < genseries._INTERPOLATE_WIDTH <= _width(1, 59)
+        tdn_class(1, 58)
         assert not calls
-        tdn_class(1, 68)
+        tdn_class(1, 59)
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("cutoff", [PACKED, INTERPOLATED])
+    def test_one_kernel_pass_after_the_probe(self, monkeypatch, cutoff):
+        nodes = []
+        kernel = genseries._tdn_runs
+        monkeypatch.setattr(genseries, "_tdn_runs", lambda d, order, at: nodes.append(tuple(at)) or kernel(d, order, at))
+        monkeypatch.setattr(genseries, "_INTERPOLATE_WIDTH", cutoff)
+        read = genseries._read_off(3, 12)
+        assert [read(k) for k in range(1, 13)] == list(solve_tdn_ode(3, 12).coeffs)
+        assert len(nodes) == 2 and nodes[0] == (1,)
 
     def test_interpolated_fill_matches_series_solver(self):
         # (1, 70) has a slot width of 49 bytes, so it is interpolated
@@ -352,9 +366,11 @@ class TestReadOffRoutes:
             tdn_class(1, 70)
 
     def test_packed_guard_catches_a_bumped_value(self, monkeypatch):
-        # tdn_class(2, 12) is read off packed, from its one run at T > 1
+        # tdn_class(2, 12) is read off packed, from its runs at T = X and T = -X
         width = _width(2, 12)
         assert width < genseries._INTERPOLATE_WIDTH
-        _corrupt(monkeypatch, lambda t: int(t == 1 << 8 * width))
-        with pytest.raises(AssertionError, match="carried"):
-            tdn_class(2, 12)
+        for node in (1 << 4 * width, -1 << 4 * width):
+            _corrupt(monkeypatch, lambda t: int(t == node))
+            with pytest.raises(AssertionError, match="even and odd parts"):
+                tdn_class(2, 12)
+            monkeypatch.undo()

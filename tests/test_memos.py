@@ -2,7 +2,8 @@
 
 A request runs in a fresh process, so a process-wide memo pays only if one
 request reads it many times.  Three do: treeop._canon_str (a compose and its
-result's canonical_str() share strings), treeop._profile_class (a strata
+result's canonical_str() share strings; bounded, so a long-lived process
+cannot fill it without limit), treeop._profile_class (a strata
 table asks for a few in-degree profiles thousands of times) and
 blueprint._TABLES (capped at n <= 12).  Every other table lives for one call.
 """
@@ -55,3 +56,27 @@ def test_a_request_leaves_no_objects_behind(request_):
     env = dict(os.environ, PYTHONPATH=str(Path(f1kit.__file__).parent.parent))
     out = subprocess.run([sys.executable, "-c", _LEFT_BEHIND, request_], capture_output=True, env=env, check=True)
     assert int(out.stdout) < 100
+
+
+_COMPOSES = """
+import random
+from f1kit import compose, enumerate_stable_trees
+from f1kit.treeop import _canon_str
+
+rng = random.Random(0)
+hosts, guests = enumerate_stable_trees(3), enumerate_stable_trees(4)
+for _ in range(10000):
+    host = rng.choice(hosts)
+    compose(host, [rng.choice(guests) for _ in range(host.input_count())]).canonical_str()
+info = _canon_str.cache_info()
+print(info.misses, info.maxsize, info.currsize)
+"""
+
+
+def test_canon_str_stays_bounded():
+    # in a fresh process, so no earlier test has filled or cleared the memo
+    env = dict(os.environ, PYTHONPATH=str(Path(f1kit.__file__).parent.parent))
+    out = subprocess.run([sys.executable, "-c", _COMPOSES], capture_output=True, env=env, check=True, text=True)
+    misses, maxsize, currsize = out.stdout.split()
+    assert maxsize != "None"
+    assert int(misses) > int(maxsize) >= int(currsize)

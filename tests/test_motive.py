@@ -81,6 +81,31 @@ class TestArithmetic:
         if a and b:
             assert (a * b).degree == a.degree + b.degree
 
+    @given(coeff_lists, coeff_lists, st.integers(-3, 3))
+    @example([1, -1], [-1, 1], 0)  # sums and products that cancel to zero
+    @example([0, 2, 0, 0], [5, -2], -2)  # trailing zeros in the input
+    @example([], [4], 1)
+    def test_ring_results_match_the_public_constructor(self, p, q, k):
+        def plus(u, v):
+            size = max(len(u), len(v))
+            return [x + y for x, y in zip(u + [0] * (size - len(u)), v + [0] * (size - len(v)))]
+
+        a, b, minus_p, minus_q = MotClass(p), MotClass(q), [-x for x in p], [-y for y in q]
+        pairs = [
+            (a + b, MotClass(plus(p, q))),
+            (a - b, MotClass(plus(p, minus_q))),
+            (-a, MotClass(minus_p)),
+            (a * b, MotClass(schoolbook(p, q))),
+            (a * k, MotClass([x * k for x in p])),
+            (k * a, MotClass([x * k for x in p])),
+            (a + k, MotClass(plus(p, [k]))),
+            (k - a, MotClass(plus([k], minus_p))),
+        ]
+        for got, want in pairs:
+            assert got == want
+            assert not got.coeffs or got.coeffs[-1] != 0
+            assert all(type(c) is int for c in got.coeffs)
+
     def test_int_coercion(self):
         assert MotClass((1, 1)) - 1 == MotClass.torus()
         assert 2 * MotClass.torus() == MotClass((0, 2))
