@@ -29,7 +29,7 @@ trade places under the action; relation sets are compared accordingly.
 from itertools import combinations, permutations as iter_permutations
 import operator
 
-from .motive import _check_int
+from .motive import _Frozen, _check_int
 
 
 def _full_mask(n):
@@ -51,7 +51,7 @@ def _pair_masks(n, pair_a, pair_b):
     return 1 << i | 1 << j, 1 << k | 1 << l
 
 
-class SubsetIndex:
+class SubsetIndex(_Frozen):
     """Canonical split index: I subset of {1..n}, 1 in I, 2 <= |I| <= n-2."""
 
     __slots__ = ("n", "mask", "_key", "_str")
@@ -72,9 +72,6 @@ class SubsetIndex:
         object.__setattr__(self, "mask", mask)
         object.__setattr__(self, "_key", (len(side), side))
         object.__setattr__(self, "_str", "{%s}" % ",".join(map(str, side)))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SubsetIndex is immutable")
 
     @property
     def members(self):
@@ -171,7 +168,7 @@ def count_max_simplexes(n):
     return count
 
 
-class Monomial:
+class Monomial(_Frozen):
     """Product of generators with an optional f-power denominator."""
 
     __slots__ = ("n", "exps", "f_denominator")
@@ -207,9 +204,6 @@ class Monomial:
         object.__setattr__(self, "exps", exps)
         object.__setattr__(self, "f_denominator", f_denominator)
         return self
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Monomial is immutable")
 
     def __mul__(self, other):
         if not isinstance(other, Monomial) or other.n != self.n:
@@ -260,7 +254,7 @@ def full_product_monomial(n):
     return Monomial._canonical(n, tuple((idx, 1) for idx in _table(n)[0]), 0)
 
 
-class BlueprintRel:
+class BlueprintRel(_Frozen):
     """Unordered sums of monomials, left side related to right side."""
 
     __slots__ = ("left", "right")
@@ -274,9 +268,6 @@ class BlueprintRel:
             raise ValueError("summands must live over the same index set")
         object.__setattr__(self, "left", tuple(sorted(left, key=Monomial.sort_key)))
         object.__setattr__(self, "right", tuple(sorted(right, key=Monomial.sort_key)))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("BlueprintRel is immutable")
 
     def monomials(self):
         return self.left + self.right
@@ -443,7 +434,8 @@ def centralizer_subgroup(g):
     Constructed as block permutations combined with within-block swaps;
     there are 2^g g! of them.
     """
-    if not isinstance(g, int) or not 1 <= g <= 5:
+    g = _check_int("g", g, 1, "an int in 1..5")
+    if g > 5:
         raise ValueError("g must be an int in 1..5")
     base = tuple((i + 1, i + 2) for i in range(0, 2 * g, 2))
     out = []
@@ -461,7 +453,7 @@ def centralizer_subgroup(g):
     return sorted(out)
 
 
-class CrossedElem:
+class CrossedElem(_Frozen):
     """Formal sum of monomials tagged by one group element."""
 
     __slots__ = ("n", "summands", "perm", "_body")
@@ -490,9 +482,6 @@ class CrossedElem:
         object.__setattr__(self, "summands", summands)
         object.__setattr__(self, "perm", perm)
         object.__setattr__(self, "_body", body)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CrossedElem is immutable")
 
     def __eq__(self, other):
         if not isinstance(other, CrossedElem):

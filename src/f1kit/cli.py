@@ -156,8 +156,6 @@ def _doc_strata(args, fmt):
 
 
 def _doc_torify(args, fmt):
-    if args.d < 0:
-        raise ValueError("d must be nonnegative")
     if args.n is None:
         ct, what = torif.torify_proj_space(args.d), "proj%d" % args.d
     else:

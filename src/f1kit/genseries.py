@@ -30,10 +30,10 @@ so every call runs the kernel afresh and keeps no state.
 from math import comb, factorial
 from operator import add, mul, sub
 
-from .motive import MotClass, _check_int, expand_falling, proj_class
+from .motive import MotClass, _Frozen, _check_int, expand_falling, proj_class
 
 
-class EGFSeries:
+class EGFSeries(_Frozen):
     """Truncated exponential generating series with MotClass coefficients.
 
     ``coeffs`` holds c_1..c_N for psi(t) = sum c_n t^n / n!; c_1 must be 1.
@@ -51,9 +51,6 @@ class EGFSeries:
             raise ValueError("series must begin t + ...")
         object.__setattr__(self, "order", len(coeffs))
         object.__setattr__(self, "_coeffs", coeffs)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("EGFSeries is immutable")
 
     def coeff(self, n):
         """c_n for 1 <= n <= order."""

@@ -9,7 +9,8 @@ plain Python ints, hence arbitrary precision; no floating point is used
 anywhere.
 
 Values are immutable and all operations are pure, so they can be shared
-freely between threads or workers.
+freely between threads or workers: each f1kit value type derives from
+``_Frozen`` and pickles (``tests/test_frozen.py``, across hash seeds too).
 """
 
 from itertools import accumulate
@@ -31,7 +32,24 @@ def _check_int(name, value, low=None, floor=None):
     raise ValueError("%s must be %s" % (name, floor))
 
 
-class MotClass:
+class _Frozen:
+    """Base of every f1kit value: its constructor sets each slot once, and setting or deleting one later raises."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError("%s is immutable" % type(self).__name__)
+
+    def __delattr__(self, name):
+        raise AttributeError("%s is immutable" % type(self).__name__)
+
+    def __setstate__(self, state):
+        # copy, deepcopy and pickle (protocol 2 on) pass a slotted object's default state, (None, {slot: value})
+        for name, value in state[1].items():
+            object.__setattr__(self, name, value)
+
+
+class MotClass(_Frozen):
     """Integer polynomial in the torus class T, canonical form."""
 
     __slots__ = ("_coeffs",)
@@ -41,12 +59,10 @@ class MotClass:
         for c in coeffs:
             if not isinstance(c, int):
                 raise TypeError("coefficients must be ints, got %r" % (c,))
+        coeffs = list(map(index, coeffs))  # a bool as its int
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
         object.__setattr__(self, "_coeffs", tuple(coeffs))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MotClass is immutable")
 
     # -- constructors -------------------------------------------------
 
@@ -234,7 +250,7 @@ def _coerce(x):
     if isinstance(x, MotClass):
         return x
     if isinstance(x, int):
-        return _of_ints([x])
+        return _of_ints([index(x)])
     raise TypeError("cannot combine MotClass with %r" % (x,))
 
 

@@ -23,10 +23,10 @@ from itertools import product as iproduct
 from math import prod
 
 from .genseries import open_stratum_class
-from .motive import MotClass, _check_int
+from .motive import MotClass, _Frozen, _check_int
 
 
-class TorifExpr:
+class TorifExpr(_Frozen):
     """An immutable expression node: its own slots plus the data derived from
     its children's, and its hash, set once by the constructor."""
 
@@ -38,8 +38,9 @@ class TorifExpr:
             object.__setattr__(self, name, value)
         object.__setattr__(self, "_hash", hash(self._key()))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("expressions are immutable")
+    def __reduce__(self):
+        # through the constructor: a stored hash of strings is stale under another hash seed
+        return type(self), self._key()[1:]
 
     def _key(self):
         return (type(self).__name__,) + tuple(getattr(self, name) for name in self.__slots__)
@@ -123,8 +124,8 @@ class Complement(TorifExpr):
             assignment = tuple(assignment)
             if len(assignment) != len(rem):
                 raise ValueError("assignment must cover every atom of the removed expression")
-            if not all(j is None or isinstance(j, int) for j in assignment):
-                raise ValueError("assignment entries must be ints or None")
+            assignment = tuple(j if j is None else _check_int("assignment entries", j, None, "ints or None")
+                               for j in assignment)
         problems = []
         for i, (dim, j) in enumerate(zip(rem, assignment)):
             if j is None or not (0 <= j < len(amb)):
@@ -204,7 +205,7 @@ def eval_class(expr):
     return expr._class
 
 
-class ConstructibleTorification:
+class ConstructibleTorification(_Frozen):
     """Labeled pieces plus their cached total class."""
 
     __slots__ = ("pieces", "total_class")
@@ -219,9 +220,6 @@ class ConstructibleTorification:
             total = total + eval_class(expr)
         object.__setattr__(self, "pieces", pieces)
         object.__setattr__(self, "total_class", total)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ConstructibleTorification is immutable")
 
     def labels(self):
         return [label for label, _ in self.pieces]

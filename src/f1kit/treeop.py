@@ -24,8 +24,9 @@ import json
 from functools import lru_cache
 from itertools import combinations, product
 from math import comb
+from types import MappingProxyType
 
-from .motive import MotClass, _check_int, blowup_class, proj_class
+from .motive import MotClass, _Frozen, _check_int, blowup_class, proj_class
 from .genseries import stratum_factor_class
 from .torif import _partitions
 
@@ -39,7 +40,7 @@ def _label_key(x):
 _FLAG_DATA = ("flags", "vertices", "boundary", "involution", "root_tail", "input_labels", "_flags_at", "_depth", "_out_flag")
 
 
-class RootedTree:
+class RootedTree(_Frozen):
     __slots__ = _FLAG_DATA + ("_form", "_nested", "_canon")
 
     def __init__(self, flags=None, vertices=None, boundary=None, involution=None, root_tail=None,
@@ -63,8 +64,9 @@ class RootedTree:
             object.__setattr__(self, key, value)
         return getattr(self, name)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("RootedTree is immutable")
+    def __reduce__(self):
+        # its form alone: the copy builds its own flag view, if it needs one
+        return type(self).from_nested, (self._form,)
 
     # -- basic structure -------------------------------------------------
 
@@ -248,6 +250,7 @@ def _flag_view(form):
             build(sub, up + 1, d + 1)
 
     build(form, 0, 0)
+    boundary, involution, input_labels = map(MappingProxyType, (boundary, involution, input_labels))
     return frozenset(boundary), frozenset(depth), boundary, involution, 0, input_labels, flags_at, depth, out_flag
 
 
@@ -515,7 +518,7 @@ def tree_points(tau, d, m):
     return tree_class(tau, d).count_points(m)
 
 
-class StratumDescriptor:
+class StratumDescriptor(_Frozen):
     """A boundary stratum: a stable tree together with the ambient dimension."""
 
     __slots__ = ("tree", "d")
@@ -525,9 +528,6 @@ class StratumDescriptor:
             raise ValueError("stratum trees must be stable")
         object.__setattr__(self, "tree", tree)
         object.__setattr__(self, "d", _check_int("d", d, 1))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("StratumDescriptor is immutable")
 
     def stratum_class(self):
         """Product of stratum_factor_class(d, k) over the in-degrees k of the vertices."""

@@ -122,6 +122,7 @@ class TestErrorMessages:
             ("points --space tdn --d 2 --n 4 --m -2", "m must be a nonnegative int"),
             ("series --d 0 --order 0", "d must be a positive int"),
             ("series --order 0", "order must be >= 1"),
+            ("torify --d -1", "d must be a nonnegative int"),
         ],
     )
     def test_stderr_and_exit(self, argv, message):

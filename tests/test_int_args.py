@@ -41,6 +41,7 @@ from f1kit.genseries import (
 )
 from f1kit.motive import MotClass, blowup_class, expand_falling, expand_falling_stirling, proj_class, signed_stirling1
 from f1kit.torif import (
+    Complement,
     Torus,
     affine_minus_points,
     affine_space_expr,
@@ -226,6 +227,26 @@ class TestBoolsBecomeInts:
     def test_stratum_descriptor_d(self):
         assert type(StratumDescriptor(_TREE, True).d) is int
 
+    @pytest.mark.parametrize(
+        "build,text",
+        [
+            (lambda: MotClass((True,)), "MotClass([1])"),
+            (lambda: MotClass() + True, "MotClass([1])"),
+            (lambda: True - MotClass(), "MotClass([1])"),
+            (lambda: MotClass((0, 1)) * True, "MotClass([0, 1])"),
+        ],
+        ids=["MotClass((True,))", "+ True", "True -", "* True"],
+    )
+    def test_class_coefficients(self, build, text):
+        value = build()
+        assert repr(value) == text
+        assert MotClass.from_json(value.to_json()) == value
+
+    def test_complement_assignment(self):
+        c = Complement(Torus(1), Torus(0), [True])
+        assert json.dumps(c.to_json()["assignment"]) == "[1]"
+        assert c == Complement(Torus(1), Torus(0), [1])
+
 
 def test_an_index_outside_the_range_keeps_its_answer():
     assert [_X.coefficient(k) for k in (-1, 0, 1, 2, True)] == [0, 1, 1, 0, 1]
@@ -238,12 +259,18 @@ def test_an_index_outside_the_range_keeps_its_answer():
 
 def test_integer_rule_is_stated_once():
     """No module restates the rule inline: each integer argument goes through _check_int."""
-    inline = re.compile(r"isinstance\(\s*(\w+)\s*,\s*int\s*\)\s*or\s+(\w+)\s*<")
+    inline = [
+        # ... or x < low
+        re.compile(r"isinstance\(\s*(\w+)\s*,\s*int\s*\)\s*or\s+(\w+)\s*<"),
+        # ... or not low <= x <= high, for literal bounds (a member bounded by another argument is not one)
+        re.compile(r"isinstance\(\s*(\w+)\s*,\s*int\s*\)\s*or\s+not\s+-?\d+\s*<=?\s*(\w+)\s*<=?\s*-?\d+\b"),
+    ]
     sources = {path.name: path.read_text() for path in Path(f1kit.__file__).parent.glob("*.py")}
     found = [
         "%s:%d: %s" % (name, text.count("\n", 0, m.start()) + 1, m.group(0))
         for name, text in sorted(sources.items())
-        for m in inline.finditer(text)
+        for pattern in inline
+        for m in pattern.finditer(text)
         if m.group(1) == m.group(2)
     ]
     assert found == []

@@ -1,5 +1,7 @@
+import copy
 import hashlib
 import json
+import pickle
 from itertools import permutations, product
 
 import pytest
@@ -321,6 +323,15 @@ class TestStability:
 
 
 class TestGraft:
+    def test_flag_maps_are_read_only(self):
+        host, sub = RootedTree.corolla((1, 2)), RootedTree.corolla((3, 4))
+        with pytest.raises(TypeError):
+            host.input_labels[1] = host.input_labels[2]
+        for view in (host.boundary, host.involution):
+            with pytest.raises(TypeError):
+                view[0] = 1
+        assert graft(sub, host, host.input_labels[2]).canonical_str() == "(1|(3,4|))"
+
     def test_arity_bookkeeping(self):
         host = RootedTree.corolla((1, 2))
         sub = RootedTree.corolla((4, 5))
@@ -596,7 +607,9 @@ class TestClassesAndPoints:
         # graft_all finds its slots on the form; only its result's flags are read
         host, args = enumerate_stable_trees(3)[1], [moved(c, 10), moved(c, 20), RootedTree.unit(30)]
         graft_all(host, args)
-        for tree in trees + [host] + args:
+        # a tree copies and pickles as its form alone
+        copies = [copy.copy(t), copy.deepcopy(c), pickle.loads(pickle.dumps(trees[2]))]
+        for tree in trees + [host] + args + copies:
             with pytest.raises(AttributeError):
                 RootedTree.flags.__get__(tree)
 
