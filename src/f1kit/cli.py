@@ -140,11 +140,10 @@ def _doc_series(args, fmt):
 def _doc_strata(args, fmt):
     basis = args.basis
     table = treeop.strata_table(args.d, args.n)
-    classes = [stratum.stratum_class() for stratum in table]
-    total = sum(classes, MotClass.zero())
+    total = sum((s.stratum_class() for s in table), MotClass.zero())
     if total != genseries.tdn_class(args.d, args.n):
         raise AssertionError("stratum total disagrees with the class recursion")
-    entries = ((i, s.tree.to_json(), _poly(cls, basis)) for i, (s, cls) in enumerate(zip(table, classes)))
+    entries = ((i, s.tree.to_json(), _poly(s.stratum_class(), basis)) for i, s in enumerate(table))
     if fmt == "json":
         strata = ({"index": i, "tree": tree, "class": cls} for i, tree, cls in entries)
         return dict(d=args.d, n=args.n, count=len(table), strata=strata, sum=total.to_json(basis), verified=True)

@@ -13,6 +13,7 @@ freely between threads or workers: each f1kit value type derives from
 ``_Frozen`` and pickles (``tests/test_frozen.py``, across hash seeds too).
 """
 
+from copyreg import _slotnames
 from itertools import accumulate
 from math import comb
 from operator import add, index, neg
@@ -43,8 +44,12 @@ class _Frozen:
     def __delattr__(self, name):
         raise AttributeError("%s is immutable" % type(self).__name__)
 
+    def __getstate__(self):
+        # the default state of a slotted object, stated here: copyreg refuses pickle protocols 0 and 1 without it
+        return None, {name: getattr(self, name) for name in _slotnames(type(self)) if hasattr(self, name)}
+
     def __setstate__(self, state):
-        # copy, deepcopy and pickle (protocol 2 on) pass a slotted object's default state, (None, {slot: value})
+        # copy, deepcopy and pickle pass a slotted object's default state, (None, {slot: value})
         for name, value in state[1].items():
             object.__setattr__(self, name, value)
 

@@ -23,7 +23,7 @@ be shared freely.
 import json
 from functools import lru_cache
 from itertools import combinations, product
-from math import comb
+from math import comb, prod
 from types import MappingProxyType
 
 from .motive import MotClass, _Frozen, _check_int, blowup_class, proj_class
@@ -521,26 +521,27 @@ def tree_points(tau, d, m):
 class StratumDescriptor(_Frozen):
     """A boundary stratum: a stable tree together with the ambient dimension."""
 
-    __slots__ = ("tree", "d")
+    __slots__ = ("tree", "d", "_class")
 
-    def __init__(self, tree, d):
-        if not tree.is_stable():
+    def __init__(self, tree, d, _classes=None):
+        """_classes maps a sorted in-degree profile to its class; strata_table shares one per call."""
+        profile = tuple(sorted(_in_degrees(tree._form)))
+        if profile[0] < 2:
             raise ValueError("stratum trees must be stable")
         object.__setattr__(self, "tree", tree)
         object.__setattr__(self, "d", _check_int("d", d, 1))
+        classes = {} if _classes is None else _classes
+        if profile not in classes:
+            classes[profile] = prod(stratum_factor_class(self.d, k) for k in profile)
+        object.__setattr__(self, "_class", classes[profile])
+
+    def __reduce__(self):
+        # from tree and d alone: the class is made again on load, never stored
+        return type(self), (self.tree, self.d)
 
     def stratum_class(self):
         """Product of stratum_factor_class(d, k) over the in-degrees k of the vertices."""
-        return _profile_class(self.d, tuple(sorted(_in_degrees(self.tree._form))))
-
-
-@lru_cache(maxsize=None)
-def _profile_class(d, profile):
-    # one product per sorted in-degree profile, kept: strata_table(1, 6) asks 2,752 times
-    out = MotClass.one()
-    for k in profile:
-        out = out * stratum_factor_class(d, k)
-    return out
+        return self._class
 
 
 # -- enumeration and the strata decomposition --------------------------------
@@ -617,5 +618,5 @@ def strata_sum(d, n):
 
 def strata_table(d, n):
     """One StratumDescriptor per stable tree with n inputs, in canonical order."""
-    n, d = _check_int("n", n, 2), _check_int("d", d, 1)
-    return [StratumDescriptor(tree, d) for tree in enumerate_stable_trees(n)]
+    n, d, classes = _check_int("n", n, 2), _check_int("d", d, 1), {}
+    return [StratumDescriptor(tree, d, classes) for tree in enumerate_stable_trees(n)]

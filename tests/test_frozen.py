@@ -71,13 +71,13 @@ def test_no_slot_can_be_set_or_deleted(value):
 
 def _parts(value):
     # StratumDescriptor compares by identity: compare its parts
-    return (value.tree, value.d) if isinstance(value, StratumDescriptor) else value
+    return (value.tree, value.d, value.stratum_class()) if isinstance(value, StratumDescriptor) else value
 
 
 _ROUND_TRIPS = {"copy": copy.copy, "deepcopy": copy.deepcopy}
 _ROUND_TRIPS.update(
     ("pickle %d" % protocol, lambda v, p=protocol: pickle.loads(pickle.dumps(v, p)))
-    for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1)
+    for protocol in range(0, pickle.HIGHEST_PROTOCOL + 1)
 )
 
 
@@ -89,6 +89,24 @@ def test_copy_and_pickle_give_an_equal_value(value, trip):
     assert _parts(got) == _parts(value)
     if type(value).__hash__ not in (None, object.__hash__):
         assert hash(got) == hash(value)
+
+
+@pytest.mark.parametrize("value", VALUES, ids=_IDS)
+def test_the_state_is_the_default_slot_state(value):
+    # built from the slots, so it needs no object.__getstate__ (Python 3.11 on)
+    state = {name: getattr(value, name) for name in _slots(value) if hasattr(value, name)}
+    assert value.__getstate__() == (None, state)
+    if hasattr(object, "__getstate__"):
+        assert value.__getstate__() == object.__getstate__(value)
+
+
+@pytest.mark.parametrize("protocol", range(0, pickle.HIGHEST_PROTOCOL + 1))
+def test_a_stratum_pickles_without_its_class(protocol):
+    # rebuilt from tree and d, so its class is made again on load
+    stratum = StratumDescriptor(_TREE, 2)
+    data = pickle.dumps(stratum, protocol)
+    assert b"_class" not in data
+    assert pickle.loads(data).stratum_class() == stratum.stratum_class()
 
 
 _PICKLED = """

@@ -1,4 +1,5 @@
-from math import comb
+from fractions import Fraction
+from math import comb, factorial
 
 import pytest
 from hypothesis import given, strategies as st
@@ -131,6 +132,57 @@ class TestTdn:
             tdn_class(0, 3)
         with pytest.raises(ValueError):
             tdn_class(1, 0)
+
+
+def _times(a, b, order):
+    # product of two power series, coefficient lists from t^0, truncated after t^order
+    out = [Fraction(0)] * (order + 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b[: order + 1 - i]):
+                out[i + j] += x * y
+    return out
+
+
+def inverse_oracle(d, m, order):
+    """[p_1, ..., p_order] from the exact inverse of the series equation at L = m + 1.
+
+    With u = log(1 + psi), (1 + L^d t - L [P^(d-1)] psi) psi' = 1 + psi is
+    linear in t(u): dt/du = [P^d] + L^d t - L [P^(d-1)] e^u, t(0) = 0, so
+    t = sum_k tau_k u^k / k! with
+    tau_k = [P^d] L^(d(k-1)) - L [P^(d-1)] (1 + L^d + ... + L^(d(k-1))).
+    Reverting t(u) gives u(t), and psi = e^u - 1 = sum_n p_n t^n / n!.
+    Exact fractions throughout; no recursion of genseries is used.
+    """
+    lef = m + 1
+    p_d, p_below = sum(lef**i for i in range(d + 1)), sum(lef**i for i in range(d))
+    t_of_u = [Fraction(0)] + [
+        Fraction(p_d * lef ** (d * (k - 1)) - lef * p_below * sum(lef ** (d * j) for j in range(k)), factorial(k))
+        for k in range(1, order + 1)
+    ]
+    assert t_of_u[1] == 1
+    # u = t - sum_{k>=2} t_k u^k: each pass fixes one more coefficient of u(t)
+    u = [Fraction(0), Fraction(1)]
+    for _ in range(order):
+        nxt, power = [Fraction(0), Fraction(1)] + [Fraction(0)] * (order - 1), u
+        for k in range(2, order + 1):
+            power = _times(power, u, order)
+            nxt = [x - t_of_u[k] * y for x, y in zip(nxt, power)]
+        u = nxt
+    psi, power = [Fraction(0)] * (order + 1), [Fraction(1)]
+    for j in range(1, order + 1):
+        power = _times(power, u, order)
+        psi = [x + y / factorial(j) for x, y in zip(psi, power)]
+    return [psi[n] * factorial(n) for n in range(1, order + 1)]
+
+
+class TestInverseOracle:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("m", [0, 1, 9])
+    def test_point_counts_match_the_inverse_series(self, d, m):
+        got = inverse_oracle(d, m, 12)
+        assert all(p.denominator == 1 for p in got)
+        assert got == solve_point_count_ode(d, m, 12)
 
 
 class TestPointCounts:

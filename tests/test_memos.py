@@ -1,11 +1,11 @@
 """Memos only where a request reuses them across calls.
 
 A request runs in a fresh process, so a process-wide memo pays only if one
-request reads it many times.  Three do: treeop._canon_str (a compose and its
+request reads it many times.  Two do: treeop._canon_str (a compose and its
 result's canonical_str() share strings; bounded, so a long-lived process
-cannot fill it without limit), treeop._profile_class (a strata
-table asks for a few in-degree profiles thousands of times) and
-blueprint._TABLES (capped at n <= 12).  Every other table lives for one call.
+cannot fill it without limit) and blueprint._TABLES (capped at n <= 12).
+Every other table lives for one call, as strata_table's classes of its
+in-degree profiles do.  README names the kept memos.
 """
 
 import os
@@ -18,13 +18,15 @@ import pytest
 
 import f1kit
 
-KEPT = {"blueprint.py:_TABLES", "treeop.py:_canon_str", "treeop.py:_profile_class"}
+_README = Path(__file__).resolve().parent.parent / "README.md"
+
+KEPT = {"blueprint.py:_TABLES", "treeop.py:_canon_str"}
 
 _SOURCES = {path.name: path.read_text() for path in Path(f1kit.__file__).parent.glob("*.py")}
 
 
 def test_only_the_kept_memos_remain():
-    """Every lru_cache'd function and module-level dict table in src is one of the three kept."""
+    """Every lru_cache'd function and module-level dict table in src is one of the two kept."""
     cached = re.compile(r"^@(?:functools\.)?(?:lru_cache|cache)\b.*\n(?:@.*\n)*def (\w+)", re.M)
     table = re.compile(r"^(\w+)\s*=\s*(?:\{\}|dict\(\))", re.M)
     found = {
@@ -34,6 +36,15 @@ def test_only_the_kept_memos_remain():
         for m in pattern.finditer(text)
     }
     assert found == KEPT
+
+
+def test_readme_names_exactly_the_kept_memos():
+    paragraph = re.search(r"^f1kit keeps no state between calls.*?(?:\n\n|\Z)", _README.read_text(), re.M | re.S)
+    assert paragraph, "README lost its memo paragraph"
+    named = {"%s.py:%s" % m for m in re.findall(r"`(\w+)\.(\w+)`", paragraph.group())}
+    assert named == KEPT
+    count = ["no", "one", "two", "three", "four"][len(KEPT)]
+    assert re.search(r"\bbeyond %s memos?\b" % count, paragraph.group())
 
 
 _LEFT_BEHIND = """
@@ -80,3 +91,25 @@ def test_canon_str_stays_bounded():
     misses, maxsize, currsize = out.stdout.split()
     assert maxsize != "None"
     assert int(misses) > int(maxsize) >= int(currsize)
+
+
+_NEW_DS = """
+import gc
+from f1kit import strata_table
+
+def tracked(ds):
+    for d in ds:
+        [s.stratum_class() for s in strata_table(d, 5)]
+    gc.collect()
+    return len(gc.get_objects())
+
+print(tracked(range(1, 21)), tracked(range(21, 41)))
+"""
+
+
+def test_strata_classes_stay_bounded_over_many_d():
+    # in a fresh process; a process-wide memo of profile classes grew by 5 objects per new d
+    env = dict(os.environ, PYTHONPATH=str(Path(f1kit.__file__).parent.parent))
+    out = subprocess.run([sys.executable, "-c", _NEW_DS], capture_output=True, env=env, check=True, text=True)
+    first, second = map(int, out.stdout.split())
+    assert second <= first

@@ -752,6 +752,34 @@ class TestStrataSum:
     def test_descriptor_requires_stable(self):
         with pytest.raises(ValueError):
             StratumDescriptor(RootedTree.unit(), 1)
+        # stability is checked before d
+        with pytest.raises(ValueError, match="^stratum trees must be stable$"):
+            StratumDescriptor(RootedTree.unit(), 0)
+        with pytest.raises(ValueError, match="^d must be a positive int$"):
+            StratumDescriptor(RootedTree.corolla((1, 2)), 0)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_lone_descriptor_class_equals_its_table_twin(self, d):
+        for stratum in strata_table(d, 5):
+            assert StratumDescriptor(stratum.tree, d).stratum_class() == stratum.stratum_class()
+
+    def test_each_stratum_tree_is_walked_once(self, monkeypatch):
+        vertices = sum(tree.vertex_count() for tree in enumerate_stable_trees(6))
+        calls = []
+        inner = treeop._in_degrees
+        monkeypatch.setattr(treeop, "_in_degrees", lambda form: calls.append(form) or inner(form))
+        for stratum in strata_table(1, 6):
+            stratum.stratum_class()
+        # one call per vertex; a stability walk plus a class walk made 22,696
+        assert len(calls) == vertices == 11348
+
+    def test_table_makes_each_profile_class_once(self, monkeypatch):
+        factors = []
+        monkeypatch.setattr(treeop, "stratum_factor_class", lambda d, k: factors.append(k) or stratum_factor_class(d, k))
+        table = strata_table(2, 6)
+        profiles = {tuple(sorted(treeop._in_degrees(s.tree._form))) for s in table}
+        assert len(factors) == sum(map(len, profiles))
+        assert len({id(s.stratum_class()) for s in table}) == len(profiles)
 
     def test_table_checks_n_then_d_before_enumerating(self, monkeypatch):
         calls = []
