@@ -85,13 +85,8 @@ class SubsetIndex(_Frozen):
         a, b = _pair_masks(self.n, pair_a, pair_b)
         return self.mask & (a | b) in (a, b)
 
-    def __eq__(self, other):
-        if not isinstance(other, SubsetIndex):
-            return NotImplemented
-        return (self.n, self.mask) == (other.n, other.mask)
-
-    def __hash__(self):
-        return hash((self.n, self.mask))
+    def _args(self):
+        return self.n, self._key[1]
 
     def __repr__(self):
         return "SubsetIndex(%d, %r)" % (self.n, list(self._key[1]))
@@ -182,12 +177,11 @@ class Monomial(_Frozen):
             if not isinstance(idx, SubsetIndex) or idx.n != n:
                 raise ValueError("exponent keys must be indices for the same n")
             if _check_int("exponents", e, 0, "nonnegative ints"):
-                cleaned[idx] = cleaned.get(idx, 0) + e
+                # keyed by mask, an int, so merging calls no __hash__
+                cleaned[idx.mask] = idx, cleaned.get(idx.mask, (idx, 0))[1] + e
         f_denominator = _check_int("denominator power", f_denominator, 0)
         object.__setattr__(self, "n", n)
-        object.__setattr__(
-            self, "exps", tuple(sorted(cleaned.items(), key=lambda p: p[0].sort_key()))
-        )
+        object.__setattr__(self, "exps", tuple(sorted(cleaned.values(), key=lambda p: p[0]._key)))
         object.__setattr__(self, "f_denominator", f_denominator)
 
     @classmethod
@@ -216,13 +210,8 @@ class Monomial(_Frozen):
     def sort_key(self):
         return (self.f_denominator, tuple([(idx._key, e) for idx, e in self.exps]))
 
-    def __eq__(self, other):
-        if not isinstance(other, Monomial):
-            return NotImplemented
-        return (self.n, self.exps, self.f_denominator) == (other.n, other.exps, other.f_denominator)
-
-    def __hash__(self):
-        return hash((self.n, self.exps, self.f_denominator))
+    def _args(self):
+        return self.n, self.exps, self.f_denominator
 
     def __repr__(self):
         return "Monomial(%d, %r, %d)" % (self.n, self.exps, self.f_denominator)
@@ -272,13 +261,8 @@ class BlueprintRel(_Frozen):
     def monomials(self):
         return self.left + self.right
 
-    def __eq__(self, other):
-        if not isinstance(other, BlueprintRel):
-            return NotImplemented
-        return (self.left, self.right) == (other.left, other.right)
-
-    def __hash__(self):
-        return hash((self.left, self.right))
+    def _args(self):
+        return self.left, self.right
 
     def __repr__(self):
         return "BlueprintRel(%r, %r)" % (self.left, self.right)
@@ -483,13 +467,8 @@ class CrossedElem(_Frozen):
         object.__setattr__(self, "perm", perm)
         object.__setattr__(self, "_body", body)
 
-    def __eq__(self, other):
-        if not isinstance(other, CrossedElem):
-            return NotImplemented
-        return (self.n, self.summands, self.perm) == (other.n, other.summands, other.perm)
-
-    def __hash__(self):
-        return hash((self.n, self.summands, self.perm))
+    def _args(self):
+        return self.n, self.summands, self.perm
 
     def __repr__(self):
         return "CrossedElem(%d, %r, %r)" % (self.n, self.summands, self.perm)

@@ -44,13 +44,17 @@ class EGFSeries(_Frozen):
     __slots__ = ("order", "_coeffs")
 
     def __init__(self, coeffs):
-        coeffs = tuple(coeffs)
+        # an int coefficient as its class; MotClass refuses a non-int
+        coeffs = tuple(c if isinstance(c, MotClass) else MotClass((c,)) for c in coeffs)
         if not coeffs:
             raise ValueError("series needs at least the t coefficient")
         if coeffs[0] != MotClass.one():
             raise ValueError("series must begin t + ...")
         object.__setattr__(self, "order", len(coeffs))
         object.__setattr__(self, "_coeffs", coeffs)
+
+    def _args(self):
+        return (self._coeffs,)
 
     def coeff(self, n):
         """c_n for 1 <= n <= order."""
@@ -61,11 +65,6 @@ class EGFSeries(_Frozen):
     @property
     def coeffs(self):
         return self._coeffs
-
-    def __eq__(self, other):
-        if not isinstance(other, EGFSeries):
-            return NotImplemented
-        return self._coeffs == other._coeffs
 
     def __repr__(self):
         return "EGFSeries(order=%d)" % self.order

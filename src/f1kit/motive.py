@@ -10,10 +10,10 @@ anywhere.
 
 Values are immutable and all operations are pure, so they can be shared
 freely between threads or workers: each f1kit value type derives from
-``_Frozen`` and pickles (``tests/test_frozen.py``, across hash seeds too).
+``_Frozen``, which compares, hashes and pickles it by its constructor
+arguments (``tests/test_frozen.py``, across hash seeds too).
 """
 
-from copyreg import _slotnames
 from itertools import accumulate
 from math import comb
 from operator import add, index, neg
@@ -34,7 +34,11 @@ def _check_int(name, value, low=None, floor=None):
 
 
 class _Frozen:
-    """Base of every f1kit value: its constructor sets each slot once, and setting or deleting one later raises."""
+    """Base of every f1kit value: its constructor sets each slot once, and setting or deleting one later raises.
+
+    ``_args()`` names a value by its constructor arguments: two values of one type are equal when their args are,
+    a value hashes as its args, and copy and pickle rebuild it through its constructor, which checks them again.
+    """
 
     __slots__ = ()
 
@@ -44,14 +48,16 @@ class _Frozen:
     def __delattr__(self, name):
         raise AttributeError("%s is immutable" % type(self).__name__)
 
-    def __getstate__(self):
-        # the default state of a slotted object, stated here: copyreg refuses pickle protocols 0 and 1 without it
-        return None, {name: getattr(self, name) for name in _slotnames(type(self)) if hasattr(self, name)}
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._args() == other._args()
 
-    def __setstate__(self, state):
-        # copy, deepcopy and pickle pass a slotted object's default state, (None, {slot: value})
-        for name, value in state[1].items():
-            object.__setattr__(self, name, value)
+    def __hash__(self):
+        return hash(self._args())
+
+    def __reduce__(self):
+        return type(self), self._args()
 
 
 class MotClass(_Frozen):
@@ -68,6 +74,9 @@ class MotClass(_Frozen):
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
         object.__setattr__(self, "_coeffs", tuple(coeffs))
+
+    def _args(self):
+        return (self._coeffs,)
 
     # -- constructors -------------------------------------------------
 
@@ -172,15 +181,11 @@ class MotClass(_Frozen):
             n >>= 1
         return out
 
+    # not _Frozen's: a class of degree <= 0 equals, and so hashes as, its int
     def __eq__(self, other):
-        if isinstance(other, int):
-            other = MotClass((other,))
-        if not isinstance(other, MotClass):
-            return NotImplemented
-        return self._coeffs == other._coeffs
+        return _Frozen.__eq__(self, _coerce(other) if isinstance(other, int) else other)
 
     def __hash__(self):
-        # equal to an int when of degree <= 0, so it must hash as that int
         return hash(self._coeffs) if len(self._coeffs) > 1 else hash(sum(self._coeffs))
 
     def __bool__(self):
@@ -338,12 +343,9 @@ def signed_stirling1(m):
     |s(m,k)| counts permutations of m elements with k cycles.
     """
     row = [1]
-    for i in range(1, _check_int("m", m, 0) + 1):
-        new = [0] * (i + 1)
-        for k, v in enumerate(row):
-            new[k] -= (i - 1) * v
-            new[k + 1] += v
-        row = new
+    for i in range(_check_int("m", m, 0)):
+        # times (x - i): the row shifted up one degree, less i times the row
+        row = list(map(lambda a, b: a - i * b, [0, *row], [*row, 0]))
     return tuple(row)
 
 

@@ -38,13 +38,13 @@ class TorifExpr(_Frozen):
             object.__setattr__(self, name, value)
         object.__setattr__(self, "_hash", hash(self._key()))
 
-    def __reduce__(self):
-        # through the constructor: a stored hash of strings is stale under another hash seed
-        return type(self), self._key()[1:]
+    def _args(self):
+        return tuple(getattr(self, name) for name in self.__slots__)
 
     def _key(self):
-        return (type(self).__name__,) + tuple(getattr(self, name) for name in self.__slots__)
+        return (type(self).__name__,) + self._args()
 
+    # not _Frozen's: the stored hash and `self is other` settle a comparison before it walks two large builds
     def __eq__(self, other):
         if not isinstance(other, TorifExpr):
             return NotImplemented
@@ -212,6 +212,8 @@ class ConstructibleTorification(_Frozen):
 
     def __init__(self, pieces):
         pieces = tuple((str(label), expr) for label, expr in pieces)
+        if not all(isinstance(expr, TorifExpr) for _, expr in pieces):
+            raise TypeError("torification pieces must be expressions")
         labels = [label for label, _ in pieces]
         if len(set(labels)) != len(labels):
             raise ValueError("piece labels must be distinct")
@@ -220,6 +222,9 @@ class ConstructibleTorification(_Frozen):
             total = total + eval_class(expr)
         object.__setattr__(self, "pieces", pieces)
         object.__setattr__(self, "total_class", total)
+
+    def _args(self):
+        return (self.pieces,)
 
     def labels(self):
         return [label for label, _ in self.pieces]
@@ -239,11 +244,6 @@ class ConstructibleTorification(_Frozen):
         for _, expr in self.pieces:
             dims.extend(atoms(expr))
         return tuple(sorted(dims))
-
-    def __eq__(self, other):
-        if not isinstance(other, ConstructibleTorification):
-            return NotImplemented
-        return self.pieces == other.pieces
 
     def __repr__(self):
         return "ConstructibleTorification(%d pieces, class %s)" % (len(self.pieces), self.total_class)

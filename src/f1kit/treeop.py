@@ -65,7 +65,7 @@ class RootedTree(_Frozen):
         return getattr(self, name)
 
     def __reduce__(self):
-        # its form alone: the copy builds its own flag view, if it needs one
+        # not _Frozen's: a copy keeps this tree's own form, so its flag ids survive, and builds its flag view if needed
         return type(self).from_nested, (self._form,)
 
     # -- basic structure -------------------------------------------------
@@ -121,6 +121,7 @@ class RootedTree(_Frozen):
             object.__setattr__(self, "_canon", _canon_str(self.to_nested()))
         return self._canon
 
+    # not _Frozen's: trees are equal up to isomorphism, by canonical string
     def __eq__(self, other):
         if not isinstance(other, RootedTree):
             return NotImplemented
@@ -525,6 +526,8 @@ class StratumDescriptor(_Frozen):
 
     def __init__(self, tree, d, _classes=None):
         """_classes maps a sorted in-degree profile to its class; strata_table shares one per call."""
+        if not isinstance(tree, RootedTree):
+            raise TypeError("stratum trees must be RootedTrees")
         profile = tuple(sorted(_in_degrees(tree._form)))
         if profile[0] < 2:
             raise ValueError("stratum trees must be stable")
@@ -535,9 +538,9 @@ class StratumDescriptor(_Frozen):
             classes[profile] = prod(stratum_factor_class(self.d, k) for k in profile)
         object.__setattr__(self, "_class", classes[profile])
 
-    def __reduce__(self):
-        # from tree and d alone: the class is made again on load, never stored
-        return type(self), (self.tree, self.d)
+    def _args(self):
+        # tree and d alone: a load makes the class again, so no pickle stores it
+        return self.tree, self.d
 
     def stratum_class(self):
         """Product of stratum_factor_class(d, k) over the in-degrees k of the vertices."""

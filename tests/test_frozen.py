@@ -1,8 +1,9 @@
 """One frozen base for every value.
 
 Each value type derives from ``motive._Frozen``: setting or deleting any of
-its slots raises, and copy, deepcopy and pickle give back an equal value
-with an equal hash, also in another process with another hash seed.
+its slots raises, every value hashes, and copy, deepcopy and pickle rebuild
+it through its constructor to an equal value with an equal hash, also in
+another process with another hash seed.
 """
 
 import ast
@@ -69,11 +70,6 @@ def test_no_slot_can_be_set_or_deleted(value):
             delattr(value, name)
 
 
-def _parts(value):
-    # StratumDescriptor compares by identity: compare its parts
-    return (value.tree, value.d, value.stratum_class()) if isinstance(value, StratumDescriptor) else value
-
-
 _ROUND_TRIPS = {"copy": copy.copy, "deepcopy": copy.deepcopy}
 _ROUND_TRIPS.update(
     ("pickle %d" % protocol, lambda v, p=protocol: pickle.loads(pickle.dumps(v, p)))
@@ -86,18 +82,50 @@ _ROUND_TRIPS.update(
 def test_copy_and_pickle_give_an_equal_value(value, trip):
     got = trip(value)
     assert type(got) is type(value)
-    assert _parts(got) == _parts(value)
-    if type(value).__hash__ not in (None, object.__hash__):
-        assert hash(got) == hash(value)
+    assert got == value and hash(got) == hash(value)
 
 
 @pytest.mark.parametrize("value", VALUES, ids=_IDS)
-def test_the_state_is_the_default_slot_state(value):
-    # built from the slots, so it needs no object.__getstate__ (Python 3.11 on)
-    state = {name: getattr(value, name) for name in _slots(value) if hasattr(value, name)}
-    assert value.__getstate__() == (None, state)
-    if hasattr(object, "__getstate__"):
-        assert value.__getstate__() == object.__getstate__(value)
+def test_a_value_is_a_set_member_and_a_dict_key(value):
+    twin = copy.deepcopy(value)
+    assert twin in {value} and value in {twin}
+    assert {value: 1}[twin] == 1 and len({value, twin}) == 1
+
+
+@pytest.mark.parametrize("value", VALUES, ids=_IDS)
+def test_a_value_reduces_to_its_constructor_arguments(value):
+    if isinstance(value, RootedTree):
+        # a tree keeps its own form, so its flag ids survive
+        assert value.__reduce__() == (RootedTree.from_nested, (value._form,))
+    else:
+        assert value.__reduce__() == (type(value), value._args())
+        assert type(value)(*value._args()) == value
+
+
+def _forged(coeffs):
+    forged = MotClass((1,))
+    object.__setattr__(forged, "_coeffs", coeffs)
+    return pickle.dumps(forged)
+
+
+def test_a_load_checks_the_value_again():
+    # a stale or forged pickle goes through the constructor, which trims and checks its coefficients
+    assert pickle.loads(_forged((0, 1, 0))) == MotClass((0, 1))
+    assert pickle.loads(_forged((0, 1, 0))).coeffs == (0, 1)
+    with pytest.raises(TypeError, match="^coefficients must be ints, got 'x'$"):
+        pickle.loads(_forged(("x",)))
+
+
+def test_descriptors_are_equal_exactly_when_their_trees_and_d_are():
+    reordered = RootedTree.from_nested(((1,), (((3, 2), ()),)))
+    other = RootedTree.from_nested(((2,), (((1, 3), ()),)))
+    assert reordered == _TREE and reordered._form != _TREE._form and other != _TREE
+    strata = [(tree, d, StratumDescriptor(tree, d)) for tree in (_TREE, reordered, other) for d in (1, 2)]
+    for tree, d, stratum in strata:
+        for tree2, d2, stratum2 in strata:
+            assert (stratum == stratum2) is (tree == tree2 and d == d2)
+            if stratum == stratum2:
+                assert hash(stratum) == hash(stratum2)
 
 
 @pytest.mark.parametrize("protocol", range(0, pickle.HIGHEST_PROTOCOL + 1))
@@ -127,6 +155,38 @@ def test_a_torification_pickled_under_another_hash_seed_loads_equal(seed):
     assert expr == local and hash(expr) == hash(local)
     assert expr in {local} and local in {expr}
     assert expr.removed.parts[0] in set(local.removed.parts)
+
+
+# the classes that define one of these, and which: _Frozen, and the overrides each with its reason in a comment
+_IDENTITY = {
+    ("motive", "_Frozen"): {"__eq__", "__hash__", "__reduce__"},
+    ("motive", "MotClass"): {"__eq__", "__hash__"},
+    ("torif", "TorifExpr"): {"__eq__", "__hash__"},
+    ("treeop", "RootedTree"): {"__eq__", "__hash__", "__reduce__"},
+}
+_HOOKS = {"__eq__", "__hash__", "__reduce__", "__reduce_ex__", "__getstate__", "__setstate__"}
+
+
+def _hooks(node):
+    """The hooks a node defines: by a def, or by an assignment such as __hash__ = ... or cls.__eq__ = ..."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        return _HOOKS & {node.name}
+    targets = getattr(node, "targets", None) or [getattr(node, "target", None)]
+    return _HOOKS.intersection(getattr(t, "attr", getattr(t, "id", None)) for t in targets)
+
+
+def test_identity_is_stated_once():
+    """Only _Frozen and the three named overrides define equality, hash, copy or pickle; nothing uses copyreg."""
+    found, count = {}, 0
+    for path in sorted(Path(f1kit.__file__).parent.glob("*.py")):
+        text = path.read_text()
+        assert "copyreg" not in text, path.name
+        for node in ast.walk(ast.parse(text)):
+            count += len(_hooks(node))
+            if isinstance(node, ast.ClassDef) and set().union(*map(_hooks, node.body)):
+                found[(path.stem, node.name)] = set().union(*map(_hooks, node.body))
+    # and none outside a class body
+    assert found == _IDENTITY and count == sum(map(len, _IDENTITY.values()))
 
 
 def test_immutability_is_stated_once():

@@ -70,6 +70,21 @@ class TestOdeSolver:
         with pytest.raises(ValueError):
             EGFSeries([MotClass.lefschetz()])
 
+    def test_an_int_coefficient_is_its_class(self):
+        s = EGFSeries([1, 5])
+        assert s == EGFSeries([MotClass.one(), MotClass((5,))])
+        assert s.to_json()["coeffs"][1] == {"basis": "T", "coeffs": ["5"]}
+
+    def test_a_bool_coefficient_is_its_int(self):
+        s = EGFSeries([True, False, True])
+        assert s.coeffs == (MotClass.one(), MotClass(), MotClass.one())
+        assert repr(s.coeff(3)) == "MotClass([1])"
+
+    @pytest.mark.parametrize("bad", ["x", 1.0, None, (1, 2)])
+    def test_any_other_coefficient_raises_type_error(self, bad):
+        with pytest.raises(TypeError, match="^coefficients must be ints, got "):
+            EGFSeries([MotClass.one(), bad])
+
     def test_json(self):
         s = solve_tdn_ode(1, 3)
         doc = s.to_json()

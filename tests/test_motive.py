@@ -231,7 +231,7 @@ class TestExpandFalling:
         direct = MotClass((-1, 1)) * MotClass((-2, 1))
         assert expand_falling(2) == direct
 
-    @pytest.mark.parametrize("m", range(13))
+    @pytest.mark.parametrize("m", [*range(13), 64, 260])
     def test_stirling_path_agrees(self, m):
         assert expand_falling(m) == expand_falling_stirling(m)
 

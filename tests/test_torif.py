@@ -449,6 +449,12 @@ def test_duplicate_labels_rejected():
         ConstructibleTorification([("a", Torus(0)), ("a", Torus(1))])
 
 
+@pytest.mark.parametrize("piece", [3, None, {"op": "torus", "dim": 1}])
+def test_pieces_must_be_expressions(piece):
+    with pytest.raises(TypeError, match="^torification pieces must be expressions$"):
+        ConstructibleTorification([("a", Torus(0)), ("b", piece)])
+
+
 class TestStoredHash:
     @given(exprs(complements=True))
     def test_rebuilt_expression_is_equal_with_equal_hash(self, expr):

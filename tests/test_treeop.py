@@ -758,6 +758,11 @@ class TestStrataSum:
         with pytest.raises(ValueError, match="^d must be a positive int$"):
             StratumDescriptor(RootedTree.corolla((1, 2)), 0)
 
+    @pytest.mark.parametrize("tree", ["x", ((1, 2), ()), None])
+    def test_descriptor_requires_a_tree(self, tree):
+        with pytest.raises(TypeError, match="^stratum trees must be RootedTrees$"):
+            StratumDescriptor(tree, 1)
+
     @pytest.mark.parametrize("d", [1, 2])
     def test_lone_descriptor_class_equals_its_table_twin(self, d):
         for stratum in strata_table(d, 5):
