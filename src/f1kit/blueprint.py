@@ -15,10 +15,10 @@ out those interned objects, and ``perm_action`` relabels by mapping each
 mask through the bits of the permutation and looking up the image's rank,
 which both orders the result and names its interned index, so no index is
 rebuilt and no image is complemented.
-Values whose exponents come out already canonical (sorted by index sort key,
-no repeated index, no zero exponent, one n) are assembled by
-``Monomial._canonical``; ``Monomial.__init__`` stays the one public path and
-the one place where repeated indices are merged.
+Values whose exponents come out already canonical (a tuple of (index, e)
+pairs in index sort-key order, no repeated index, positive ints, one n) are
+assembled by ``Monomial._new``, which checks nothing; ``Monomial.__init__``
+stays the one public path and the one place where repeated indices merge.
 
 Permutations of {1..n} are stored as tuples p of plain ints with p[i-1] the
 image of i.  Relabeling a generator index re-canonicalizes by
@@ -68,10 +68,7 @@ class SubsetIndex(_Frozen):
         side = tuple(m for m in range(1, n + 1) if mask >> m & 1)
         if not 2 <= len(side) <= n - 2:
             raise ValueError("split must have at least two elements on each side")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "mask", mask)
-        object.__setattr__(self, "_key", (len(side), side))
-        object.__setattr__(self, "_str", "{%s}" % ",".join(map(str, side)))
+        self._fill(n, mask, (len(side), side), "{%s}" % ",".join(map(str, side)))
 
     @property
     def members(self):
@@ -180,24 +177,7 @@ class Monomial(_Frozen):
                 # keyed by mask, an int, so merging calls no __hash__
                 cleaned[idx.mask] = idx, cleaned.get(idx.mask, (idx, 0))[1] + e
         f_denominator = _check_int("denominator power", f_denominator, 0)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "exps", tuple(sorted(cleaned.values(), key=lambda p: p[0]._key)))
-        object.__setattr__(self, "f_denominator", f_denominator)
-
-    @classmethod
-    def _canonical(cls, n, exps, f_denominator):
-        """Monomial(n, exps, f_denominator) for exps that are already canonical.
-
-        Nothing is checked or merged.  exps must be a tuple of (index, e)
-        pairs whose indices are distinct indices for this n, in sort-key
-        order, and whose exponents are positive ints; f_denominator must be
-        a nonnegative int.
-        """
-        self = object.__new__(cls)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "exps", exps)
-        object.__setattr__(self, "f_denominator", f_denominator)
-        return self
+        self._fill(n, tuple(sorted(cleaned.values(), key=lambda p: p[0]._key)), f_denominator)
 
     def __mul__(self, other):
         if not isinstance(other, Monomial) or other.n != self.n:
@@ -240,7 +220,7 @@ def unit_monomial(n):
 
 def full_product_monomial(n):
     """f = product of every generator; fixed by all relabelings."""
-    return Monomial._canonical(n, tuple((idx, 1) for idx in _table(n)[0]), 0)
+    return Monomial._new(n, tuple((idx, 1) for idx in _table(n)[0]), 0)
 
 
 class BlueprintRel(_Frozen):
@@ -255,8 +235,7 @@ class BlueprintRel(_Frozen):
         n = getattr(left[0], "n", None)
         if not all(isinstance(m, Monomial) and m.n == n for m in left + right):
             raise ValueError("summands must live over the same index set")
-        object.__setattr__(self, "left", tuple(sorted(left, key=Monomial.sort_key)))
-        object.__setattr__(self, "right", tuple(sorted(right, key=Monomial.sort_key)))
+        self._fill(tuple(sorted(left, key=Monomial.sort_key)), tuple(sorted(right, key=Monomial.sort_key)))
 
     def monomials(self):
         return self.left + self.right
@@ -285,7 +264,7 @@ def separation_monomial(n, pair_a, pair_b):
     indices = _table(n)[0]
     a, b = _pair_masks(n, pair_a, pair_b)
     both = a | b
-    return Monomial._canonical(n, tuple((idx, 1) for idx in indices if idx.mask & both in (a, b)), 0)
+    return Monomial._new(n, tuple((idx, 1) for idx in indices if idx.mask & both in (a, b)), 0)
 
 
 def plucker_relations(n):
@@ -308,26 +287,32 @@ def plucker_relations(n):
             side = side_of.get(mask & quad)
             if side is not None:
                 side.append(unit)
-        ij_kl, il_jk, ik_jl = (Monomial._canonical(n, tuple(s), 0) for s in (ij_kl, il_jk, ik_jl))
+        ij_kl, il_jk, ik_jl = (Monomial._new(n, tuple(s), 0) for s in (ij_kl, il_jk, ik_jl))
         out.append(BlueprintRel([ij_kl, il_jk], [ik_jl]))
     return out
 
 
+def _check_rel(rel):
+    if not isinstance(rel, BlueprintRel):
+        raise TypeError("relations must be BlueprintRels")
+    return rel
+
+
 def localize_relation(rel, k):
     """Raise every monomial's f-denominator by k."""
-    return _shifted(rel, _check_int("k", k, 0))
+    return _shifted(_check_rel(rel), _check_int("k", k, 0))
 
 
 def clear_denominators(rel):
     """Multiply both sides by the largest common f-power and cancel."""
-    return _shifted(rel, -min(m.f_denominator for m in rel.monomials()))
+    return _shifted(rel, -min(m.f_denominator for m in _check_rel(rel).monomials()))
 
 
 def _shifted(rel, k):
     """The relation with every monomial's f-denominator raised by k."""
     return BlueprintRel(
-        [Monomial._canonical(m.n, m.exps, m.f_denominator + k) for m in rel.left],
-        [Monomial._canonical(m.n, m.exps, m.f_denominator + k) for m in rel.right],
+        [Monomial._new(m.n, m.exps, m.f_denominator + k) for m in rel.left],
+        [Monomial._new(m.n, m.exps, m.f_denominator + k) for m in rel.right],
     )
 
 
@@ -392,7 +377,7 @@ def _relabel(pi, mono):
     bit = ((0,) + tuple(1 << v for v in pi)).__getitem__
     # distinct members have distinct bits, so a sum of bits is their union
     images = sorted([(rank[sum(map(bit, idx._key[1]))], e) for idx, e in mono.exps])
-    return Monomial._canonical(n, tuple([(indices[r], e) for r, e in images]), mono.f_denominator)
+    return Monomial._new(n, tuple([(indices[r], e) for r, e in images]), mono.f_denominator)
 
 
 def perm_relation(pi, rel):
@@ -449,24 +434,6 @@ class CrossedElem(_Frozen):
         summands = tuple(sorted(summands, key=Monomial.sort_key))
         self._fill(n, summands, _check_perm(perm, n), None)
 
-    @classmethod
-    def _tagged(cls, n, summands, body, perm):
-        """CrossedElem(n, summands, perm) from parts that are already checked.
-
-        summands must be a tuple of monomials over n in sort-key order, body
-        their string as ``__str__`` prints it, and perm a tuple of plain ints
-        permuting 1..n.
-        """
-        self = object.__new__(cls)
-        self._fill(n, summands, perm, body)
-        return self
-
-    def _fill(self, n, summands, perm, body):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "summands", summands)
-        object.__setattr__(self, "perm", perm)
-        object.__setattr__(self, "_body", body)
-
     def _args(self):
         return self.n, self.summands, self.perm
 
@@ -506,11 +473,12 @@ def crossed_relations(rels, group):
     """
     perms = {}
     out = []
+    new = CrossedElem._new
     for rel in rels:
-        n = rel.left[0].n
+        n = _check_rel(rel).left[0].n
         if n not in perms:
             perms[n] = [_check_perm(g, n) for g in group]
         left, right = _sum_str(rel.left), _sum_str(rel.right)
         for g in perms[n]:
-            out.append((CrossedElem._tagged(n, rel.left, left, g), CrossedElem._tagged(n, rel.right, right, g)))
+            out.append((new(n, rel.left, g, left), new(n, rel.right, g, right)))
     return out

@@ -50,8 +50,7 @@ class EGFSeries(_Frozen):
             raise ValueError("series needs at least the t coefficient")
         if coeffs[0] != MotClass.one():
             raise ValueError("series must begin t + ...")
-        object.__setattr__(self, "order", len(coeffs))
-        object.__setattr__(self, "_coeffs", coeffs)
+        self._fill(len(coeffs), coeffs)
 
     def _args(self):
         return (self._coeffs,)

@@ -33,14 +33,44 @@ def _check_int(name, value, low=None, floor=None):
     raise ValueError("%s must be %s" % (name, floor))
 
 
-class _Frozen:
-    """Base of every f1kit value: its constructor sets each slot once, and setting or deleting one later raises.
+def _json_key(obj, key):
+    """obj[key], for a reader of f1kit's JSON: a missing key raises ValueError, which names it."""
+    try:
+        return obj[key]
+    except KeyError:
+        raise ValueError("missing JSON key %r" % (key,)) from None
 
-    ``_args()`` names a value by its constructor arguments: two values of one type are equal when their args are,
-    a value hashes as its args, and copy and pickle rebuild it through its constructor, which checks them again.
+
+class _Frozen:
+    """Base of every f1kit value, and the only writer of its slots; setting or deleting one from outside raises.
+
+    A type's slots are taken in order, its own before its bases'.  Every constructor ends with ``_fill``, which
+    sets the first of them from its values, ``_new`` builds a value from parts its caller has already checked,
+    and ``_keep`` sets a slot that is derived on first use.  ``_args()`` names a value by its constructor
+    arguments: two values of one type are equal when their args are, a value hashes as its args, and copy and
+    pickle rebuild it through its constructor, which checks them again.
     """
 
     __slots__ = ()
+
+    def __init_subclass__(cls):
+        # each slot's member descriptor setter, in slot order: faster per value than object.__setattr__ by name
+        cls._setters = tuple(getattr(cls, s).__set__ for c in cls.__mro__ for s in c.__dict__.get("__slots__", ()))
+
+    def _fill(self, *values):
+        for setter, value in zip(self._setters, values):
+            setter(self, value)
+
+    @classmethod
+    def _new(cls, *values):
+        self = object.__new__(cls)
+        # _fill's loop, inline: a call less per value on the paths that build many
+        for setter, value in zip(cls._setters, values):
+            setter(self, value)
+        return self
+
+    # object.__setattr__ bound as a method, so a call runs no Python frame; enumerate_stable_trees makes one per tree
+    _keep = object.__setattr__
 
     def __setattr__(self, name, value):
         raise AttributeError("%s is immutable" % type(self).__name__)
@@ -73,7 +103,7 @@ class MotClass(_Frozen):
         coeffs = list(map(index, coeffs))  # a bool as its int
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
-        object.__setattr__(self, "_coeffs", tuple(coeffs))
+        self._fill(tuple(coeffs))
 
     def _args(self):
         return (self._coeffs,)
@@ -242,8 +272,8 @@ class MotClass(_Frozen):
 
     @classmethod
     def from_json(cls, obj):
-        basis = obj["basis"]
-        coeffs = [int(s) for s in obj["coeffs"]]
+        basis = _json_key(obj, "basis")
+        coeffs = [int(s) for s in _json_key(obj, "coeffs")]
         return cls.from_coeffs(coeffs, basis)
 
 
@@ -251,6 +281,8 @@ def _of_ints(coeffs):
     """The MotClass of a list of ints, which it trims and takes over unchecked: for ring results."""
     while coeffs and coeffs[-1] == 0:
         coeffs.pop()
+    # not MotClass._new: every ring result comes through here, and with one slot _new's loop is its cost (2-core
+    # VM, Python 3.11: 434-451 ns a call here, 702-779 ns through _new; solve_tdn_ode(1, 28) 4.5-4.7 -> 4.7-5.0 ms)
     out = object.__new__(MotClass)
     object.__setattr__(out, "_coeffs", tuple(coeffs))
     return out

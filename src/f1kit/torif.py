@@ -23,7 +23,7 @@ from itertools import product as iproduct
 from math import prod
 
 from .genseries import open_stratum_class
-from .motive import MotClass, _Frozen, _check_int
+from .motive import MotClass, _Frozen, _check_int, _json_key
 
 
 class TorifExpr(_Frozen):
@@ -33,10 +33,8 @@ class TorifExpr(_Frozen):
     __slots__ = ("_atoms", "_class", "_problems", "_hash")
 
     def _store(self, values, atoms, cls, problems):
-        # values fill the subclass's own slots; problems are (path suffix, message)
-        for name, value in zip(self.__slots__ + TorifExpr.__slots__, values + (atoms, cls, problems)):
-            object.__setattr__(self, name, value)
-        object.__setattr__(self, "_hash", hash(self._key()))
+        # values fill the subclass's own slots; problems are (path suffix, message); the hash is _key()'s
+        self._fill(*values, atoms, cls, problems, hash((type(self).__name__,) + values))
 
     def _args(self):
         return tuple(getattr(self, name) for name in self.__slots__)
@@ -148,17 +146,17 @@ class Complement(TorifExpr):
 
 
 def expr_from_json(obj):
-    op = obj["op"]
+    op = _json_key(obj, "op")
     if op == "torus":
-        return Torus(obj["dim"])
+        return Torus(_json_key(obj, "dim"))
     if op == "union":
-        return DisjointUnion([expr_from_json(p) for p in obj["parts"]])
+        return DisjointUnion([expr_from_json(p) for p in _json_key(obj, "parts")])
     if op == "product":
-        return Product([expr_from_json(f) for f in obj["factors"]])
+        return Product([expr_from_json(f) for f in _json_key(obj, "factors")])
     if op == "complement":
         return Complement(
-            expr_from_json(obj["ambient"]),
-            expr_from_json(obj["removed"]),
+            expr_from_json(_json_key(obj, "ambient")),
+            expr_from_json(_json_key(obj, "removed")),
             obj.get("assignment"),
         )
     raise ValueError("unknown expression op %r" % (op,))
@@ -211,7 +209,10 @@ class ConstructibleTorification(_Frozen):
     __slots__ = ("pieces", "total_class")
 
     def __init__(self, pieces):
-        pieces = tuple((str(label), expr) for label, expr in pieces)
+        try:
+            pieces = tuple((str(label), expr) for label, expr in pieces)
+        except (TypeError, ValueError):
+            raise TypeError("torification pieces must be (label, expression) pairs") from None
         if not all(isinstance(expr, TorifExpr) for _, expr in pieces):
             raise TypeError("torification pieces must be expressions")
         labels = [label for label, _ in pieces]
@@ -220,8 +221,7 @@ class ConstructibleTorification(_Frozen):
         total = MotClass.zero()
         for _, expr in pieces:
             total = total + eval_class(expr)
-        object.__setattr__(self, "pieces", pieces)
-        object.__setattr__(self, "total_class", total)
+        self._fill(pieces, total)
 
     def _args(self):
         return (self.pieces,)
@@ -365,13 +365,19 @@ def product_torification(a, b):
 # -- complementedness and blowups ---------------------------------------------
 
 
+def _check_torification(ct):
+    if not isinstance(ct, ConstructibleTorification):
+        raise TypeError("torifications must be ConstructibleTorifications")
+    return ct
+
+
 def _normalize_selection(ct, sub):
     """Selection = mapping label -> None (whole piece) or a proper part."""
+    known = set(_check_torification(ct).labels())
     if isinstance(sub, dict):
         sel = dict(sub)
     else:
         sel = {label: None for label in sub}
-    known = set(ct.labels())
     for label in sel:
         if label not in known:
             raise ValueError("selection names unknown piece %r" % (label,))
@@ -427,6 +433,8 @@ def equiv_shadow(a, b, level):
     and the total classes agree.  Only the shadow is decided here; witness
     isomorphisms are out of reach of the combinatorial data.
     """
+    _check_torification(a)
+    _check_torification(b)
     if level == "strong":
         return sorted(a.pieces, key=lambda p: p[0]) == sorted(b.pieces, key=lambda p: p[0])
     if level == "weak":

@@ -26,7 +26,7 @@ from itertools import combinations, product
 from math import comb, prod
 from types import MappingProxyType
 
-from .motive import MotClass, _Frozen, _check_int, blowup_class, proj_class
+from .motive import MotClass, _Frozen, _check_int, _json_key, blowup_class, proj_class
 from .genseries import stratum_factor_class
 from .torif import _partitions
 
@@ -41,7 +41,8 @@ _FLAG_DATA = ("flags", "vertices", "boundary", "involution", "root_tail", "input
 
 
 class RootedTree(_Frozen):
-    __slots__ = _FLAG_DATA + ("_form", "_nested", "_canon")
+    # the form and its canonical views first, so a constructor fills just these three
+    __slots__ = ("_form", "_nested", "_canon") + _FLAG_DATA
 
     def __init__(self, flags=None, vertices=None, boundary=None, involution=None, root_tail=None,
                  input_labels=None, *, form=None, canonical=False):
@@ -52,16 +53,14 @@ class RootedTree(_Frozen):
         """
         if form is None:
             form = _form_of_flags(flags, vertices, boundary, involution, root_tail, input_labels)
-        object.__setattr__(self, "_form", form)
-        object.__setattr__(self, "_nested", form if canonical else None)
-        object.__setattr__(self, "_canon", None)
+        self._fill(form, form if canonical else None, None)
 
     def __getattr__(self, name):
         # reached only for a slot not yet set: the flag view of the form
         if name not in _FLAG_DATA:
             raise AttributeError(name)
         for key, value in zip(_FLAG_DATA, _flag_view(self._form)):
-            object.__setattr__(self, key, value)
+            self._keep(key, value)
         return getattr(self, name)
 
     def __reduce__(self):
@@ -113,12 +112,12 @@ class RootedTree(_Frozen):
 
     def to_nested(self):
         if self._nested is None:
-            object.__setattr__(self, "_nested", _canonical(self._form))
+            self._keep("_nested", _canonical(self._form))
         return self._nested
 
     def canonical_str(self):
         if self._canon is None:
-            object.__setattr__(self, "_canon", _canon_str(self.to_nested()))
+            self._keep("_canon", _canon_str(self.to_nested()))
         return self._canon
 
     # not _Frozen's: trees are equal up to isomorphism, by canonical string
@@ -159,7 +158,7 @@ class RootedTree(_Frozen):
             obj = json.loads(obj)
 
         def conv(node):
-            return (tuple(node["inputs"]), tuple(conv(c) for c in node.get("children", ())))
+            return (tuple(_json_key(node, "inputs")), tuple(conv(c) for c in node.get("children", ())))
 
         return cls.from_nested(conv(obj))
 
@@ -531,12 +530,11 @@ class StratumDescriptor(_Frozen):
         profile = tuple(sorted(_in_degrees(tree._form)))
         if profile[0] < 2:
             raise ValueError("stratum trees must be stable")
-        object.__setattr__(self, "tree", tree)
-        object.__setattr__(self, "d", _check_int("d", d, 1))
+        d = _check_int("d", d, 1)
         classes = {} if _classes is None else _classes
         if profile not in classes:
-            classes[profile] = prod(stratum_factor_class(self.d, k) for k in profile)
-        object.__setattr__(self, "_class", classes[profile])
+            classes[profile] = prod(stratum_factor_class(d, k) for k in profile)
+        self._fill(tree, d, classes[profile])
 
     def _args(self):
         # tree and d alone: a load makes the class again, so no pickle stores it
@@ -580,7 +578,7 @@ def enumerate_stable_trees(n):
     trees = []
     for text, form in _stable_forms(tuple(range(1, _check_int("n", n, 2) + 1)), {}):
         trees.append(RootedTree(form=form, canonical=True))
-        object.__setattr__(trees[-1], "_canon", text)  # its canonical_str, built already
+        trees[-1]._keep("_canon", text)  # its canonical_str, built already
     return trees
 
 

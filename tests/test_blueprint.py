@@ -152,6 +152,18 @@ class TestLocalization:
         assert clear_denominators(localize_relation(rel, 1)) == rel
         assert clear_denominators(localize_relation(rel, 3)) == rel
 
+    @pytest.mark.parametrize("call", [
+        lambda: localize_relation(5, 1),
+        lambda: localize_relation(plucker_relations(4)[0].left[0], 1),
+        lambda: clear_denominators(5),
+        lambda: clear_denominators(None),
+        lambda: crossed_relations([5], [(1, 2)]),
+        lambda: crossed_relations([plucker_relations(4)[0], "rel"], [identity_perm(4)]),
+    ])
+    def test_a_relation_must_be_a_relation(self, call):
+        with pytest.raises(TypeError, match="^relations must be BlueprintRels$"):
+            call()
+
     def test_all_monomials_carry_denominator(self):
         rel = localize_relation(plucker_relations(4)[0], 1)
         assert all(m.f_denominator == 1 for m in rel.monomials())
@@ -621,7 +633,7 @@ class TestRelabelOracles:
         # index sort key, no repeated index, positive exponents, one n
         n, exps, fpow = case
         canonical = tuple(sorted(dict(exps).items(), key=lambda p: p[0].sort_key()))
-        got = Monomial._canonical(n, canonical, fpow)
+        got = Monomial._new(n, canonical, fpow)
         assert_same_monomial(got, Monomial(n, dict(exps), fpow))
         assert_same_monomial(got, Monomial(n, canonical, fpow))
 

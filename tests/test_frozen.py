@@ -1,9 +1,10 @@
 """One frozen base for every value.
 
 Each value type derives from ``motive._Frozen``: setting or deleting any of
-its slots raises, every value hashes, and copy, deepcopy and pickle rebuild
-it through its constructor to an equal value with an equal hash, also in
-another process with another hash seed.
+its slots raises, only ``_Frozen``'s writers (and ``motive._of_ints``) set
+one, every value hashes, and copy, deepcopy and pickle rebuild it through
+its constructor to an equal value with an equal hash, also in another
+process with another hash seed.
 """
 
 import ast
@@ -210,3 +211,22 @@ def test_immutability_is_stated_once():
         if not issubclass(getattr(importlib.import_module("f1kit." + module), name), _Frozen)
     ]
     assert bare == [] and ("motive", "MotClass") in slotted
+
+
+# a slot is written by object.__setattr__ or a member descriptor's __set__, and a value made past its constructor by
+# object.__new__; a call by name, such as getattr(x, "__set__"), counts too
+_WRITES = {"__setattr__", "__set__", "__new__"}
+
+
+def test_writing_a_value_is_stated_once():
+    """Only _Frozen's writers and _of_ints, which builds every ring result, write a slot or skip a constructor."""
+    found = []
+    for path in sorted(Path(f1kit.__file__).parent.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                if (isinstance(node, ast.Attribute) and node.attr in _WRITES
+                        or isinstance(node, ast.Constant) and node.value in _WRITES):
+                    found.append((path.stem, getattr(top, "name", None)))
+    assert sorted(set(found)) == [("motive", "_Frozen"), ("motive", "_of_ints")]
+    # _of_ints' two lines: a bare MotClass and its one slot
+    assert found.count(("motive", "_of_ints")) == 2

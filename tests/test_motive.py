@@ -273,6 +273,11 @@ class TestSerialization:
     def test_round_trip(self, a, basis):
         assert MotClass.from_json(a.to_json(basis)) == a
 
+    @pytest.mark.parametrize("obj,key", [({}, "basis"), ({"basis": "T"}, "coeffs"), ({"coeffs": ["1"]}, "basis")])
+    def test_a_missing_key_is_named(self, obj, key):
+        with pytest.raises(ValueError, match="^missing JSON key '%s'$" % key):
+            MotClass.from_json(obj)
+
     def test_format(self):
         assert format_poly((2, -3, 1), "T") == "T^2-3T+2"
         assert format_poly((1, 16, 16, 1), "L") == "L^3+16L^2+16L+1"

@@ -455,6 +455,47 @@ def test_pieces_must_be_expressions(piece):
         ConstructibleTorification([("a", Torus(0)), ("b", piece)])
 
 
+@pytest.mark.parametrize("pieces", [5, None, [("a",)], [("a", Torus(0), "extra")], [5], [("a", Torus(0)), Torus(1)]])
+def test_pieces_must_be_label_expression_pairs(pieces):
+    with pytest.raises(TypeError, match=r"^torification pieces must be \(label, expression\) pairs$"):
+        ConstructibleTorification(pieces)
+
+
+_TORUS = {"op": "torus", "dim": 1}
+
+
+@pytest.mark.parametrize("obj,key", [
+    ({}, "op"),
+    ({"op": "torus"}, "dim"),
+    ({"op": "union"}, "parts"),
+    ({"op": "product"}, "factors"),
+    ({"op": "complement", "removed": _TORUS}, "ambient"),
+    ({"op": "complement", "ambient": _TORUS}, "removed"),
+    ({"op": "product", "factors": [_TORUS, {"op": "torus"}]}, "dim"),
+])
+def test_a_missing_json_key_is_named(obj, key):
+    with pytest.raises(ValueError, match="^missing JSON key '%s'$" % key):
+        expr_from_json(obj)
+
+
+_NOT_A_TORIFICATION = "^torifications must be ConstructibleTorifications$"
+
+
+@pytest.mark.parametrize("call", [
+    lambda ct: equiv_shadow(1, 2, "weak"),
+    lambda ct: equiv_shadow(1, 2, "strong"),
+    lambda ct: equiv_shadow(ct, 2, "weak"),
+    lambda ct: equiv_shadow(5, ct, "ordinary"),
+    lambda ct: is_strongly_complemented(5, ["a"]),
+    lambda ct: selection_class(5, ["a"]),
+    lambda ct: blowup_decomposition(5, ["a"], 2),
+    lambda ct: blowup_decomposition(ct.pieces[0][1], ["cell0:t0"], 2),
+])
+def test_wrong_kinds_are_refused(call):
+    with pytest.raises(TypeError, match=_NOT_A_TORIFICATION):
+        call(torify_proj_space(1))
+
+
 class TestStoredHash:
     @given(exprs(complements=True))
     def test_rebuilt_expression_is_equal_with_equal_hash(self, expr):

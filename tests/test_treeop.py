@@ -2,7 +2,7 @@ import copy
 import hashlib
 import json
 import pickle
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -31,6 +31,20 @@ from f1kit.treeop import (
     tree_class,
     tree_points,
 )
+
+
+def _edge_label_sets(form):
+    """The labels below each edge of a nested form: one set per vertex but the root."""
+    out = []
+
+    def below(node):
+        inputs, subs = node
+        labels = frozenset(inputs).union(*map(below, subs))
+        out.append(labels)
+        return labels
+
+    below(form)
+    return out[:-1]
 
 
 def law_family(n):
@@ -292,6 +306,11 @@ class TestStructure:
     def test_json_round_trip(self):
         t = RootedTree.from_nested(((5,), (((1, 2), ()), ((3, 4), ()))))
         assert RootedTree.from_json(t.to_json()) == t
+
+    @pytest.mark.parametrize("obj", [{}, {"children": []}, {"inputs": [1], "children": [{}]}, "{}"])
+    def test_a_missing_key_is_named(self, obj):
+        with pytest.raises(ValueError, match="^missing JSON key 'inputs'$"):
+            RootedTree.from_json(obj)
 
     def test_equality_is_label_respecting_isomorphism(self):
         a = RootedTree.from_nested(((1,), (((2, 3), ()),)))
@@ -785,6 +804,21 @@ class TestStrataSum:
         profiles = {tuple(sorted(treeop._in_degrees(s.tree._form))) for s in table}
         assert len(factors) == sum(map(len, profiles))
         assert len({id(s.stratum_class()) for s in table}) == len(profiles)
+
+    @pytest.mark.parametrize("d,n", [(1, 6), (2, 6), (3, 6), (1, 7)])
+    def test_boundary_divisors_factor(self, d, n):
+        # D_S, the strata with an edge that has exactly S below it, is the image of the operad's composition
+        # map from T_{d,n-|S|+1} x T_{d,|S|}, so its class factors (Keel 1992; Chen-Gibney-Krashen 2009)
+        got = {}
+        for stratum in strata_table(d, n):
+            for below in _edge_label_sets(stratum.tree._form):
+                got[below] = got.get(below, MotClass.zero()) + stratum.stratum_class()
+        want = {
+            frozenset(S): tdn_class(d, n - k + 1) * tdn_class(d, k)
+            for k in range(2, n)
+            for S in combinations(range(1, n + 1), k)
+        }
+        assert got == want
 
     def test_table_checks_n_then_d_before_enumerating(self, monkeypatch):
         calls = []
