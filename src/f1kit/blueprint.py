@@ -29,7 +29,7 @@ trade places under the action; relation sets are compared accordingly.
 from itertools import combinations, permutations as iter_permutations
 import operator
 
-from .motive import _Frozen, _check_int
+from .motive import _Frozen, _check_int, _check_kind
 
 
 def _full_mask(n):
@@ -37,7 +37,8 @@ def _full_mask(n):
     return (1 << (n + 1)) - 2
 
 
-_PAIR_ERROR = "pairs must be two disjoint pairs of distinct markings in 1..n"
+_PAIRS = "two disjoint pairs of distinct markings in 1..n"
+_PAIR_ERROR = "pairs must be " + _PAIRS
 
 
 def _pair_masks(n, pair_a, pair_b):
@@ -46,7 +47,8 @@ def _pair_masks(n, pair_a, pair_b):
         (i, j), (k, l) = pair_a, pair_b
     except (TypeError, ValueError):
         raise ValueError(_PAIR_ERROR) from None
-    if not all(isinstance(m, int) and 1 <= m <= n for m in (i, j, k, l)) or len({i, j, k, l}) < 4:
+    i, j, k, l = (_check_int("pairs", m, 1, _PAIRS, n) for m in (i, j, k, l))
+    if len({i, j, k, l}) < 4:
         raise ValueError(_PAIR_ERROR)
     return 1 << i | 1 << j, 1 << k | 1 << l
 
@@ -59,10 +61,8 @@ class SubsetIndex(_Frozen):
     def __init__(self, n, members):
         n = _check_int("n", n, 4)
         mask = 0
-        for m in members:
-            if not isinstance(m, int) or not 1 <= m <= n:
-                raise ValueError("members must lie in 1..n")
-            mask |= 1 << m
+        for m in _check_kind("members", members, object, "an iterable of markings", each=True):
+            mask |= 1 << _check_int("members", m, 1, high=n, message="members must lie in 1..n")
         if not mask & 2:
             mask ^= _full_mask(n)
         side = tuple(m for m in range(1, n + 1) if mask >> m & 1)
@@ -129,6 +129,7 @@ def _compatible(i, j, full):
 def is_simplex(sigma, n):
     """True iff the indices are pairwise nested or jointly cover {1..n}."""
     full = _full_mask(_check_int("n", n, 4))
+    sigma = _check_kind("sigma", sigma, SubsetIndex, "SubsetIndexes", each=True)
     return all(_compatible(a.mask, b.mask, full) for a, b in combinations(sigma, 2))
 
 
@@ -170,8 +171,8 @@ class Monomial(_Frozen):
         if isinstance(exps, dict):
             exps = exps.items()
         cleaned = {}
-        for idx, e in exps:
-            if not isinstance(idx, SubsetIndex) or idx.n != n:
+        for idx, e in _check_kind("exponents", exps, (tuple, list), "(index, power) pairs", each=True, size=2):
+            if _check_kind("exponent keys", idx, SubsetIndex, "SubsetIndexes").n != n:
                 raise ValueError("exponent keys must be indices for the same n")
             if _check_int("exponents", e, 0, "nonnegative ints"):
                 # keyed by mask, an int, so merging calls no __hash__
@@ -180,7 +181,7 @@ class Monomial(_Frozen):
         self._fill(n, tuple(sorted(cleaned.values(), key=lambda p: p[0]._key)), f_denominator)
 
     def __mul__(self, other):
-        if not isinstance(other, Monomial) or other.n != self.n:
+        if _check_kind("factors", other, Monomial, "Monomials").n != self.n:
             raise ValueError("cannot multiply monomials over different index sets")
         return Monomial(self.n, self.exps + other.exps, self.f_denominator + other.f_denominator)
 
@@ -229,11 +230,10 @@ class BlueprintRel(_Frozen):
     __slots__ = ("left", "right")
 
     def __init__(self, left, right):
-        left, right = tuple(left), tuple(right)
+        left, right = (_check_kind("summands", side, Monomial, "Monomials", each=True) for side in (left, right))
         if not left or not right:
             raise ValueError("both sides must be nonempty")
-        n = getattr(left[0], "n", None)
-        if not all(isinstance(m, Monomial) and m.n == n for m in left + right):
+        if any(m.n != left[0].n for m in left + right):
             raise ValueError("summands must live over the same index set")
         self._fill(tuple(sorted(left, key=Monomial.sort_key)), tuple(sorted(right, key=Monomial.sort_key)))
 
@@ -292,20 +292,15 @@ def plucker_relations(n):
     return out
 
 
-def _check_rel(rel):
-    if not isinstance(rel, BlueprintRel):
-        raise TypeError("relations must be BlueprintRels")
-    return rel
-
-
 def localize_relation(rel, k):
     """Raise every monomial's f-denominator by k."""
-    return _shifted(_check_rel(rel), _check_int("k", k, 0))
+    return _shifted(_check_kind("relations", rel, BlueprintRel, "BlueprintRels"), _check_int("k", k, 0))
 
 
 def clear_denominators(rel):
     """Multiply both sides by the largest common f-power and cancel."""
-    return _shifted(rel, -min(m.f_denominator for m in _check_rel(rel).monomials()))
+    rel = _check_kind("relations", rel, BlueprintRel, "BlueprintRels")
+    return _shifted(rel, -min(m.f_denominator for m in rel.monomials()))
 
 
 def _shifted(rel, k):
@@ -360,9 +355,7 @@ def perm_action(pi, mono):
     up to the induced permutation of separation patterns.  Distinct indices
     have distinct images, so nothing merges.
     """
-    if not isinstance(mono, Monomial):
-        raise ValueError("perm_action needs a Monomial")
-    return _relabel(_check_perm(pi, mono.n), mono)
+    return _relabel(_check_perm(pi, _check_kind("mono", mono, Monomial, "a Monomial").n), mono)
 
 
 def _relabel(pi, mono):
@@ -381,16 +374,13 @@ def _relabel(pi, mono):
 
 
 def perm_relation(pi, rel):
-    if not isinstance(rel, BlueprintRel):
-        raise ValueError("perm_relation needs a BlueprintRel")
+    rel = _check_kind("relations", rel, BlueprintRel, "BlueprintRels")
     return BlueprintRel([perm_action(pi, m) for m in rel.left], [perm_action(pi, m) for m in rel.right])
 
 
 def relation_triples(rels):
     """Relations as unordered monomial multisets, for action-invariance checks."""
-    rels = list(rels)
-    if not all(isinstance(r, BlueprintRel) for r in rels):
-        raise ValueError("relation_triples needs BlueprintRels")
+    rels = _check_kind("relations", rels, BlueprintRel, "BlueprintRels", each=True)
     return {tuple(sorted(r.monomials(), key=Monomial.sort_key)) for r in rels}
 
 
@@ -403,9 +393,7 @@ def centralizer_subgroup(g):
     Constructed as block permutations combined with within-block swaps;
     there are 2^g g! of them.
     """
-    g = _check_int("g", g, 1, "an int in 1..5")
-    if g > 5:
-        raise ValueError("g must be an int in 1..5")
+    g = _check_int("g", g, 1, high=5)
     base = tuple((i + 1, i + 2) for i in range(0, 2 * g, 2))
     out = []
     for block_perm in iter_permutations(range(g)):
@@ -428,8 +416,8 @@ class CrossedElem(_Frozen):
     __slots__ = ("n", "summands", "perm", "_body")
 
     def __init__(self, n, summands, perm):
-        n, summands = _check_int("n", n, 4), tuple(summands)
-        if not all(isinstance(m, Monomial) and m.n == n for m in summands):
+        n, summands = _check_int("n", n, 4), _check_kind("summands", summands, Monomial, "Monomials", each=True)
+        if any(m.n != n for m in summands):
             raise ValueError("summands must live over the same index set")
         summands = tuple(sorted(summands, key=Monomial.sort_key))
         self._fill(n, summands, _check_perm(perm, n), None)
@@ -458,7 +446,8 @@ def crossed_identity(n):
 
 def crossed_mul(x, y):
     """Twisted product (a, g)(a', g') = (a g(a'), g g')."""
-    if not isinstance(x, CrossedElem) or not isinstance(y, CrossedElem) or x.n != y.n:
+    x, y = _check_kind("factors", (x, y), CrossedElem, "CrossedElems", each=True)
+    if x.n != y.n:
         raise ValueError("incompatible crossed-product carriers")
     moved = [_relabel(x.perm, b) for b in y.summands]
     summands = [a * b for a in x.summands for b in moved]
@@ -474,8 +463,9 @@ def crossed_relations(rels, group):
     perms = {}
     out = []
     new = CrossedElem._new
-    for rel in rels:
-        n = _check_rel(rel).left[0].n
+    group = _check_kind("group", group, object, "an iterable of permutations", each=True)
+    for rel in _check_kind("relations", rels, BlueprintRel, "BlueprintRels", each=True):
+        n = rel.left[0].n
         if n not in perms:
             perms[n] = [_check_perm(g, n) for g in group]
         left, right = _sum_str(rel.left), _sum_str(rel.right)

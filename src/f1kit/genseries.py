@@ -30,7 +30,7 @@ so every call runs the kernel afresh and keeps no state.
 from math import comb, factorial
 from operator import add, mul, sub
 
-from .motive import MotClass, _Frozen, _check_int, expand_falling, proj_class
+from .motive import MotClass, _Frozen, _check_int, _check_kind, expand_falling, proj_class
 
 
 class EGFSeries(_Frozen):
@@ -45,6 +45,7 @@ class EGFSeries(_Frozen):
 
     def __init__(self, coeffs):
         # an int coefficient as its class; MotClass refuses a non-int
+        coeffs = _check_kind("coefficients", coeffs, object, "an iterable of classes or ints", each=True)
         coeffs = tuple(c if isinstance(c, MotClass) else MotClass((c,)) for c in coeffs)
         if not coeffs:
             raise ValueError("series needs at least the t coefficient")

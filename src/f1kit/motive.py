@@ -19,24 +19,52 @@ from math import comb
 from operator import add, index, neg
 
 
-def _check_int(name, value, low=None, floor=None):
-    """value as a plain int, if it is an int >= low, or any int if low is None; a bool counts as its int.
+def _check_int(name, value, low=None, floor=None, high=None, message=None):
+    """value as a plain int, if it is an int in low..high (a bound None is open); a bool counts as its int.
 
-    Otherwise raises ValueError("<name> must be <floor>"), the floor by
-    default "an int" for no low, "a positive int" for low 1, "a nonnegative
-    int" for low 0 and "an int >= <low>" for any other low.
+    Otherwise raises ValueError(message), by default "<name> must be <floor>", the floor by default "an int in
+    <low>..<high>" for two bounds, else "an int" for no low, "a nonnegative int" for low 0, "a positive int" for
+    low 1 and "an int >= <low>" for any other.
     """
-    if isinstance(value, int) and (low is None or value >= low):
+    if isinstance(value, int) and (low is None or value >= low) and (high is None or value <= high):
         return index(value)
-    if floor is None:
+    if floor is None and high is not None:
+        floor = "an int in %d..%d" % (low, high)
+    elif floor is None:
         floor = {None: "an int", 0: "a nonnegative int", 1: "a positive int"}.get(low) or "an int >= %d" % low
-    raise ValueError("%s must be %s" % (name, floor))
+    raise ValueError(message or "%s must be %s" % (name, floor))
+
+
+def _check_kind(name, value, kind, what, each=False, size=None):
+    """value, if it is a kind (a type or a tuple of types, as isinstance takes it); with each, value as a tuple,
+    if it is iterable and each item is a kind, with size entries if size is given.
+
+    Otherwise raises TypeError("<name> must be <what>"), one message for the collection and its items.
+    """
+    if not each:
+        if isinstance(value, kind):
+            return value
+    else:
+        try:
+            items = iter(value)
+        except TypeError:
+            items = None
+        if items is not None:
+            value = tuple(items)
+            # a loop, not all(map(...)): about half the cost for the few items of a monomial
+            for item in value:
+                if not isinstance(item, kind) or size is not None and len(item) != size:
+                    break
+            else:
+                return value
+    raise TypeError("%s must be %s" % (name, what))
 
 
 def _json_key(obj, key):
-    """obj[key], for a reader of f1kit's JSON: a missing key raises ValueError, which names it."""
+    """obj[key], for a reader of f1kit's JSON: a node that is not an object raises TypeError, a missing key
+    ValueError, which names it."""
     try:
-        return obj[key]
+        return _check_kind("JSON node", obj, dict, "an object")[key]
     except KeyError:
         raise ValueError("missing JSON key %r" % (key,)) from None
 
@@ -96,7 +124,7 @@ class MotClass(_Frozen):
     __slots__ = ("_coeffs",)
 
     def __init__(self, coeffs=()):
-        coeffs = list(coeffs)
+        coeffs = _check_kind("coefficients", coeffs, object, "an iterable of ints", each=True)
         for c in coeffs:
             if not isinstance(c, int):
                 raise TypeError("coefficients must be ints, got %r" % (c,))
@@ -273,8 +301,8 @@ class MotClass(_Frozen):
     @classmethod
     def from_json(cls, obj):
         basis = _json_key(obj, "basis")
-        coeffs = [int(s) for s in _json_key(obj, "coeffs")]
-        return cls.from_coeffs(coeffs, basis)
+        coeffs = _check_kind("coeffs", _json_key(obj, "coeffs"), (str, int), "decimal strings", each=True)
+        return cls.from_coeffs([int(s) for s in coeffs], basis)
 
 
 def _of_ints(coeffs):

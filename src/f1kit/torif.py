@@ -23,7 +23,7 @@ from itertools import product as iproduct
 from math import prod
 
 from .genseries import open_stratum_class
-from .motive import MotClass, _Frozen, _check_int, _json_key
+from .motive import MotClass, _Frozen, _check_int, _check_kind, _json_key
 
 
 class TorifExpr(_Frozen):
@@ -75,10 +75,7 @@ class DisjointUnion(TorifExpr):
     __slots__ = ("parts",)
 
     def __init__(self, parts):
-        parts = tuple(parts)
-        for p in parts:
-            if not isinstance(p, TorifExpr):
-                raise TypeError("union parts must be expressions")
+        parts = _check_kind("union parts", parts, TorifExpr, "expressions", each=True)
         self._store(
             (parts,),
             tuple(a for p in parts for a in p._atoms),
@@ -94,10 +91,7 @@ class Product(TorifExpr):
     __slots__ = ("factors",)
 
     def __init__(self, factors):
-        factors = tuple(factors)
-        for f in factors:
-            if not isinstance(f, TorifExpr):
-                raise TypeError("product factors must be expressions")
+        factors = _check_kind("product factors", factors, TorifExpr, "expressions", each=True)
         self._store(
             (factors,),
             tuple(sum(combo) for combo in iproduct(*(f._atoms for f in factors))),
@@ -113,13 +107,12 @@ class Complement(TorifExpr):
     __slots__ = ("ambient", "removed", "assignment")
 
     def __init__(self, ambient, removed, assignment=None):
-        if not isinstance(ambient, TorifExpr) or not isinstance(removed, TorifExpr):
-            raise TypeError("complement takes two expressions")
+        _check_kind("ambient and removed", (ambient, removed), TorifExpr, "expressions", each=True)
         amb, rem = ambient._atoms, removed._atoms
         if assignment is None:
             assignment = _auto_assignment(amb, rem)
         else:
-            assignment = tuple(assignment)
+            assignment = _check_kind("assignment", assignment, object, "an iterable of ints or None", each=True)
             if len(assignment) != len(rem):
                 raise ValueError("assignment must cover every atom of the removed expression")
             assignment = tuple(j if j is None else _check_int("assignment entries", j, None, "ints or None")
@@ -150,9 +143,11 @@ def expr_from_json(obj):
     if op == "torus":
         return Torus(_json_key(obj, "dim"))
     if op == "union":
-        return DisjointUnion([expr_from_json(p) for p in _json_key(obj, "parts")])
+        parts = _check_kind("parts", _json_key(obj, "parts"), object, "a list", each=True)
+        return DisjointUnion(map(expr_from_json, parts))
     if op == "product":
-        return Product([expr_from_json(f) for f in _json_key(obj, "factors")])
+        factors = _check_kind("factors", _json_key(obj, "factors"), object, "a list", each=True)
+        return Product(map(expr_from_json, factors))
     if op == "complement":
         return Complement(
             expr_from_json(_json_key(obj, "ambient")),
@@ -164,9 +159,7 @@ def expr_from_json(obj):
 
 def atoms(expr):
     """Dimensions of the constituent cells, in a fixed traversal order."""
-    if not isinstance(expr, TorifExpr):
-        raise TypeError("not an expression: %r" % (expr,))
-    return expr._atoms
+    return _check_kind("expr", expr, TorifExpr, "an expression")._atoms
 
 
 def dimension(expr):
@@ -197,7 +190,7 @@ def validate(expr):
 def eval_class(expr):
     """Class of the expression: tori to T powers, unions to sums, products to
     products, complements to differences."""
-    ok, problems = validate(expr)
+    ok, problems = validate(_check_kind("expr", expr, TorifExpr, "an expression"))
     if not ok:
         raise ValueError("invalid complement assignment: " + "; ".join(problems))
     return expr._class
@@ -209,12 +202,10 @@ class ConstructibleTorification(_Frozen):
     __slots__ = ("pieces", "total_class")
 
     def __init__(self, pieces):
-        try:
-            pieces = tuple((str(label), expr) for label, expr in pieces)
-        except (TypeError, ValueError):
-            raise TypeError("torification pieces must be (label, expression) pairs") from None
-        if not all(isinstance(expr, TorifExpr) for _, expr in pieces):
-            raise TypeError("torification pieces must be expressions")
+        pairs = _check_kind("torification pieces", pieces, (tuple, list), "(label, expression) pairs",
+                            each=True, size=2)
+        pieces = tuple((str(label), expr) for label, expr in pairs)
+        _check_kind("torification pieces", [expr for _, expr in pairs], TorifExpr, "expressions", each=True)
         labels = [label for label, _ in pieces]
         if len(set(labels)) != len(labels):
             raise ValueError("piece labels must be distinct")
@@ -304,7 +295,9 @@ def torify_tree_curve(tau):
     component loses one point to the gluing node, contributing a point and a
     torus.  The class of N glued lines is N T + N + 1.
     """
-    if not tau.is_stable():
+    from .treeop import _tree  # treeop imports this module, so the tree kind is read at call time
+
+    if not _tree(tau).is_stable():
         raise ValueError("unstable tree")
     pieces = [("v0:p0", Torus(0)), ("v0:p1", Torus(0)), ("v0:gm", Torus(1))]
     for i in range(1, tau.vertex_count()):
@@ -355,6 +348,7 @@ def constructible_open_stratum(d, n):
 
 def product_torification(a, b):
     """Pairwise products of pieces, labeled '<left>x<right>'."""
+    a, b = _check_kind("torifications", (a, b), ConstructibleTorification, "ConstructibleTorifications", each=True)
     pieces = []
     for la, ea in a.pieces:
         for lb, eb in b.pieces:
@@ -365,19 +359,13 @@ def product_torification(a, b):
 # -- complementedness and blowups ---------------------------------------------
 
 
-def _check_torification(ct):
-    if not isinstance(ct, ConstructibleTorification):
-        raise TypeError("torifications must be ConstructibleTorifications")
-    return ct
-
-
 def _normalize_selection(ct, sub):
     """Selection = mapping label -> None (whole piece) or a proper part."""
-    known = set(_check_torification(ct).labels())
+    known = set(_check_kind("torifications", ct, ConstructibleTorification, "ConstructibleTorifications").labels())
     if isinstance(sub, dict):
         sel = dict(sub)
     else:
-        sel = {label: None for label in sub}
+        sel = dict.fromkeys(_check_kind("selection", sub, object, "an iterable of labels", each=True))
     for label in sel:
         if label not in known:
             raise ValueError("selection names unknown piece %r" % (label,))
@@ -433,8 +421,7 @@ def equiv_shadow(a, b, level):
     and the total classes agree.  Only the shadow is decided here; witness
     isomorphisms are out of reach of the combinatorial data.
     """
-    _check_torification(a)
-    _check_torification(b)
+    _check_kind("torifications", (a, b), ConstructibleTorification, "ConstructibleTorifications", each=True)
     if level == "strong":
         return sorted(a.pieces, key=lambda p: p[0]) == sorted(b.pieces, key=lambda p: p[0])
     if level == "weak":

@@ -21,12 +21,13 @@ be shared freely.
 """
 
 import json
+from collections.abc import Mapping
 from functools import lru_cache
 from itertools import combinations, product
 from math import comb, prod
 from types import MappingProxyType
 
-from .motive import MotClass, _Frozen, _check_int, _json_key, blowup_class, proj_class
+from .motive import MotClass, _Frozen, _check_int, _check_kind, _json_key, blowup_class, proj_class
 from .genseries import stratum_factor_class
 from .torif import _partitions
 
@@ -147,7 +148,11 @@ class RootedTree(_Frozen):
     @classmethod
     def from_nested(cls, form):
         """The tree with this nested form; inputs and children in any order."""
-        labels = _labels(form)
+        try:
+            labels = _labels(form)
+        except (TypeError, ValueError):
+            labels = None  # some vertex is not an (inputs, children) pair of collections
+        labels = _check_kind("nested forms", labels, list, "(inputs, children) pairs of collections")
         if len(set(labels)) != len(labels):
             raise ValueError("input labels must biject onto the non-root tails")
         return cls(form=form)
@@ -158,7 +163,9 @@ class RootedTree(_Frozen):
             obj = json.loads(obj)
 
         def conv(node):
-            return (tuple(_json_key(node, "inputs")), tuple(conv(c) for c in node.get("children", ())))
+            inputs = _check_kind("inputs", _json_key(node, "inputs"), object, "a list", each=True)
+            children = _check_kind("children", node.get("children", ()), object, "a list", each=True)
+            return inputs, tuple(map(conv, children))
 
         return cls.from_nested(conv(obj))
 
@@ -171,6 +178,11 @@ class RootedTree(_Frozen):
     def unit(cls, label=1):
         """The one-input, one-output chain; composition identity."""
         return cls.corolla((label,))
+
+
+def _tree(value, name="trees"):
+    """value, if it is a RootedTree: the check of every tree argument's kind."""
+    return _check_kind(name, value, RootedTree, "RootedTrees")
 
 
 # -- nested forms -------------------------------------------------------------
@@ -261,8 +273,10 @@ def _form_of_flags(flags, vertices, boundary, involution, root_tail, input_label
     children in the order of ``boundary``, so the flag data of a tree gives
     back its form; ids are only hashed, never compared.
     """
-    flags, vertices = frozenset(flags), frozenset(vertices)
-    boundary, involution, input_labels = dict(boundary), dict(involution), dict(input_labels)
+    flags = frozenset(_check_kind("flags", flags, object, "a collection", each=True))
+    vertices = frozenset(_check_kind("vertices", vertices, object, "a collection", each=True))
+    boundary, involution, input_labels = (
+        dict(_check_kind("flag maps", m, Mapping, "mappings")) for m in (boundary, involution, input_labels))
 
     if set(involution) != flags or set(boundary) != flags:
         raise ValueError("boundary and involution must be defined exactly on the flags")
@@ -315,6 +329,7 @@ def graft(tau, sigma, input_flag):
 
 
 def _graft(tau, sigma, input_flag):
+    tau, sigma = _tree(tau), _tree(sigma)
     if input_flag not in sigma.flags:
         raise ValueError("graft target flag is not a flag of the host tree")
     if input_flag == sigma.root_tail:
@@ -361,7 +376,7 @@ def contract_edge(tau, edge):
     The child vertex is spliced into its mother: its inputs join hers and its
     children take its place, so later vertices move down one in preorder.
     """
-    edge = frozenset(edge)
+    tau, edge = _tree(tau), frozenset(_check_kind("edge", edge, object, "a pair of flags", each=True))
     if len(edge) != 2:
         raise ValueError("an edge consists of two distinct flags")
     if not edge <= tau.flags:
@@ -389,11 +404,12 @@ def contract_edge(tau, edge):
 
 
 def _slots(tau, args):
-    """tau's markings in sorted label order, the inputs args[0], args[1], ... fill, one each."""
-    slots = sorted(tau.markings, key=_label_key)
+    """tau's markings in sorted label order, and args as a tuple of the trees that fill them, one each."""
+    slots = sorted(_tree(tau).markings, key=_label_key)
+    args = _check_kind("trees", args, RootedTree, "RootedTrees", each=True)
     if len(args) != len(slots):
         raise ValueError("arity mismatch: tree takes %d inputs, got %d" % (len(slots), len(args)))
-    return slots
+    return slots, args
 
 
 def graft_all(tau, args):
@@ -403,7 +419,7 @@ def graft_all(tau, args):
     edges, one per argument.  Marking labels of the args must be pairwise
     disjoint.
     """
-    slots = _slots(tau, args)
+    slots, args = _slots(tau, args)
     seen = set()
     for a in args:
         if a.markings & seen:
@@ -423,7 +439,7 @@ def compose(tau, args):
     """
     contents = {}
     offset = 0
-    for slot, a in zip(_slots(tau, args), args):
+    for slot, a in zip(*_slots(tau, args)):
         old = sorted(a.markings, key=_label_key)
         contents[slot] = _canonical(a._form, {o: offset + i + 1 for i, o in enumerate(old)})
         offset += len(old)
@@ -445,6 +461,7 @@ def permute_markings(tau, pi):
 
     The vertex and flag ids stay those of tau.
     """
+    tau, pi = _tree(tau), _check_kind("pi", pi, Mapping, "a mapping")
     if set(pi) != tau.markings:
         raise ValueError("permutation domain does not match the marking set")
     if len(set(pi.values())) != len(pi):
@@ -465,7 +482,7 @@ def forget_marking(tau, s):
     destabilized root with a child is merged with it.  A single bare vertex
     is returned as is.
     """
-    if s not in tau.markings:
+    if s not in _tree(tau).markings:
         raise ValueError("unknown marking %r" % (s,))
     inputs, subs = _spliced(tau._form, s)
     if not inputs and len(subs) == 1:
@@ -499,7 +516,7 @@ def tree_class(tau, d):
     its hyperplane to the exceptional divisor.  Equals N [P^d] - (N-1) for N
     vertices; for d = 1 that is N T + N + 1.
     """
-    d = _check_int("d", d, 1)
+    tau, d = _tree(tau), _check_int("d", d, 1)
     if not tau.is_stable():
         raise ValueError("unstable tree")
     pd = proj_class(d)
@@ -525,9 +542,7 @@ class StratumDescriptor(_Frozen):
 
     def __init__(self, tree, d, _classes=None):
         """_classes maps a sorted in-degree profile to its class; strata_table shares one per call."""
-        if not isinstance(tree, RootedTree):
-            raise TypeError("stratum trees must be RootedTrees")
-        profile = tuple(sorted(_in_degrees(tree._form)))
+        profile = tuple(sorted(_in_degrees(_tree(tree, "stratum trees")._form)))
         if profile[0] < 2:
             raise ValueError("stratum trees must be stable")
         d = _check_int("d", d, 1)

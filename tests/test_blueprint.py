@@ -437,15 +437,20 @@ class TestInputChecks:
 
     @pytest.mark.parametrize("left,right", [([Monomial(5)], [Monomial(6)]), (["x"], ["y"]), ([Monomial(5)], ["y"])])
     def test_relation_sides_are_monomials_of_one_n(self, left, right):
-        with pytest.raises(ValueError, match=r"^summands must live over the same index set$"):
+        # a wrong kind is a TypeError, a mismatched n a ValueError
+        if all(isinstance(m, Monomial) for m in left + right):
+            error, message = ValueError, "summands must live over the same index set"
+        else:
+            error, message = TypeError, "summands must be Monomials"
+        with pytest.raises(error, match="^%s$" % message):
             BlueprintRel(left, right)
 
     def test_perm_relation_needs_a_relation(self):
-        with pytest.raises(ValueError, match=r"^perm_relation needs a BlueprintRel$"):
+        with pytest.raises(TypeError, match=r"^relations must be BlueprintRels$"):
             perm_relation(identity_perm(5), "x")
 
     def test_relation_triples_needs_relations(self):
-        with pytest.raises(ValueError, match=r"^relation_triples needs BlueprintRels$"):
+        with pytest.raises(TypeError, match=r"^relations must be BlueprintRels$"):
             relation_triples(plucker_relations(5)[:1] + ["x"])
 
 

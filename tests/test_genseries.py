@@ -200,6 +200,58 @@ class TestInverseOracle:
         assert got == solve_point_count_ode(d, m, 12)
 
 
+def power_oracle(d, m, order):
+    """[p_1, ..., p_order] from the closed form of the inverse of the series equation at L = m + 1 >= 2.
+
+    Solving the linear equation for t(u) of inverse_oracle in closed form, with a = L^d and x = 1 + psi, gives
+    t = [L psi - (x^a - 1)/a] / (L - 1).  The power x^a comes from J. C. P. Miller's recurrence (Knuth, TAOCP
+    vol. 2, 4.7): with psi = sum g_k t^k, n y_n = sum_{k=1}^{n} ((a + 1)k - n) g_k y_{n-k}, y_0 = 1.  Its k = n
+    term is a n g_n, so the coefficient of t^n in that identity gives g_n from g_1..g_{n-1}.  Exact fractions
+    throughout; no recursion of genseries is used.
+    """
+    lef = m + 1
+    a = lef**d
+    g, y = [Fraction(0)], [Fraction(1)]
+    for n in range(1, order + 1):
+        # y_n less its g_n term
+        rest = Fraction(sum(((a + 1) * k - n) * g[k] * y[n - k] for k in range(1, n)), n)
+        # [t^n] of (L - 1) t = L g_n - y_n / a
+        g.append((n == 1) + rest / (a * (lef - 1)))
+        y.append(a * g[n] + rest)
+    return [g[n] * factorial(n) for n in range(1, order + 1)]
+
+
+def _interpolated(nodes, values):
+    """Ascending coefficients of the polynomial through the points (nodes[i], values[i]), by Lagrange's formula."""
+    out = [Fraction(0)] * len(nodes)
+    for j, (xj, vj) in enumerate(zip(nodes, values)):
+        basis, scale = [Fraction(1)], Fraction(vj)
+        for i, xi in enumerate(nodes):
+            if i != j:
+                # times (T - xi)
+                basis = [b - xi * c for b, c in zip([Fraction(0)] + basis, basis + [Fraction(0)])]
+                scale /= xj - xi
+        out = [o + scale * b for o, b in zip(out, basis)]
+    return out
+
+
+class TestPowerOracle:
+    @pytest.mark.parametrize("d,m,order", [(1, 1, 30), (2, 1, 30), (3, 2, 30), (2, 9, 60), (1, 9, 100), (2, 9, 150),
+                                           (3, 9, 150), (2, 9, 300)])
+    def test_point_counts_match_the_closed_form(self, d, m, order):
+        got = power_oracle(d, m, order)
+        assert all(p.denominator == 1 for p in got)
+        assert got == solve_point_count_ode(d, m, order)
+
+    @pytest.mark.parametrize("d,n", [(1, 1), (1, 2), (1, 8), (2, 6), (3, 5), (4, 4)])
+    def test_interpolated_values_give_the_class(self, d, n):
+        # the class has degree at most e = max(d(n - 1), 1); its values at T = 1..e + 1 fix it
+        nodes = range(1, max(d * (n - 1), 1) + 2)
+        coeffs = _interpolated(nodes, [power_oracle(d, t, n)[-1] for t in nodes])
+        assert all(c.denominator == 1 for c in coeffs)
+        assert MotClass([int(c) for c in coeffs]) == tdn_class(d, n)
+
+
 class TestPointCounts:
     def test_euler_characteristics(self):
         assert f1m_count(1, 3, 0) == 2

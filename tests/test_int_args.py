@@ -1,30 +1,43 @@
-"""One rule for integer arguments.
+"""One rule for integer arguments, and one for argument kinds.
 
 Every public entry with an integer argument refuses a non-int and a value
 below the argument's floor with one ValueError, and a bool counts as its int:
-what an entry stores, keys or prints is a plain int.
+what an entry stores, keys or prints is a plain int.  An argument of the
+wrong kind (not a tree, not a collection, not a JSON object, ...) raises
+TypeError("<name> must be <kind>"), stated once by ``motive._check_kind``.
 """
 
+import ast
+import inspect
 import json
+import pickle
 import re
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import f1kit
 from f1kit.blueprint import (
+    BlueprintRel,
     CrossedElem,
     Monomial,
     SubsetIndex,
     centralizer_subgroup,
+    clear_denominators,
     count_max_simplexes,
     crossed_identity,
+    crossed_mul,
+    crossed_relations,
     embed_perm,
     full_product_monomial,
     index_set,
     is_simplex,
     localize_relation,
+    perm_action,
+    perm_relation,
     plucker_relations,
+    relation_triples,
     separation_monomial,
     unit_monomial,
 )
@@ -42,20 +55,33 @@ from f1kit.genseries import (
 from f1kit.motive import MotClass, blowup_class, expand_falling, expand_falling_stirling, proj_class, signed_stirling1
 from f1kit.torif import (
     Complement,
+    ConstructibleTorification,
+    DisjointUnion,
+    Product,
     Torus,
     affine_minus_points,
     affine_space_expr,
     atoms,
     blowup_decomposition,
     constructible_open_stratum,
+    equiv_shadow,
+    eval_class,
+    expr_from_json,
+    is_strongly_complemented,
+    product_torification,
     torify_proj_space,
+    torify_tree_curve,
 )
 from f1kit.treeop import (
     RootedTree,
     StratumDescriptor,
     compose,
+    contract_edge,
     enumerate_stable_trees,
+    forget_marking,
+    graft,
     graft_all,
+    permute_markings,
     strata_sum,
     strata_table,
     tree_class,
@@ -156,12 +182,183 @@ _ROWS += [
     pytest.param(EGFSeries([MotClass.one(), _X]).coeff, 1.0, "n must be an int", id="EGFSeries.coeff(1.0)"),
 ]
 
+# an upper bound goes through the rule too, each range with its own text
+_PAIRS = "pairs must be two disjoint pairs of distinct markings in 1..n"
+_ROWS += [
+    pytest.param(centralizer_subgroup, 6, "g must be an int in 1..5", id="centralizer_subgroup(6)"),
+    pytest.param(lambda m: SubsetIndex(5, (1, m)), 6, "members must lie in 1..n", id="SubsetIndex(5, (1, 6))"),
+    pytest.param(lambda m: SubsetIndex(5, (1, m)), 0, "members must lie in 1..n", id="SubsetIndex(5, (1, 0))"),
+    pytest.param(lambda m: separation_monomial(5, (1, m), (3, 4)), 6, _PAIRS, id="separation_monomial(5, (1, 6), ..)"),
+    pytest.param(lambda m: separation_monomial(5, (1, m), (3, 4)), 3, _PAIRS, id="separation_monomial(5, (1, 3), ..)"),
+    pytest.param(lambda m: separation_monomial(5, (1, m), (3, 4)), 2.0, _PAIRS,
+                 id="separation_monomial(5, (1, 2.0), ..)"),
+    pytest.param(lambda p: separation_monomial(5, p, (3, 4)), (1,), _PAIRS, id="separation_monomial(5, (1,), ..)"),
+]
 
 @pytest.mark.parametrize("call,value,message", _ROWS)
 def test_message_table(call, value, message):
     with pytest.raises(ValueError) as info:
         call(value)
     assert str(info.value) == message
+
+
+_MONO = unit_monomial(5)
+_CROSSED = crossed_identity(5)
+_PERM = (2, 1, 3, 4, 5)
+_TREES = "trees must be RootedTrees"
+_RELS = "relations must be BlueprintRels"
+_CTS = "torifications must be ConstructibleTorifications"
+_OBJECT = "JSON node must be an object"
+_FORMS = "nested forms must be (inputs, children) pairs of collections"
+
+# a wrong kind, each refused with the entry's TypeError; every other argument of the call is valid
+_KINDS = {
+    # trees
+    "compose(5, [t])": (lambda: compose(5, [_TREE]), _TREES),
+    "compose(t, 5)": (lambda: compose(_TREE, 5), _TREES),
+    "compose(t, [t, 5])": (lambda: compose(_TREE, [_TREE, 5]), _TREES),
+    "graft(5, t, 1)": (lambda: graft(5, _TREE, 1), _TREES),
+    "graft(t, 5, 1)": (lambda: graft(_TREE, 5, 1), _TREES),
+    "graft_all(5, [t, t])": (lambda: graft_all(5, [_TREE, _TREE]), _TREES),
+    "graft_all(t, None)": (lambda: graft_all(_TREE, None), _TREES),
+    "forget_marking(5, 1)": (lambda: forget_marking(5, 1), _TREES),
+    "permute_markings(5, {})": (lambda: permute_markings(5, {}), _TREES),
+    "permute_markings(t, [1, 2])": (lambda: permute_markings(_TREE, [1, 2]), "pi must be a mapping"),
+    "contract_edge(5, (1, 2))": (lambda: contract_edge(5, (1, 2)), _TREES),
+    "contract_edge(t, 5)": (lambda: contract_edge(_TREE, 5), "edge must be a pair of flags"),
+    "tree_class(5, 1)": (lambda: tree_class(5, 1), _TREES),
+    "tree_points(None, 1, 1)": (lambda: tree_points(None, 1, 1), _TREES),
+    "torify_tree_curve('x')": (lambda: torify_tree_curve("x"), _TREES),
+    "from_nested(5)": (lambda: RootedTree.from_nested(5), _FORMS),
+    "from_nested(((1, 2),))": (lambda: RootedTree.from_nested(((1, 2),)), _FORMS),
+    "from_nested((5, ()))": (lambda: RootedTree.from_nested((5, ())), _FORMS),
+    "from_nested(((1,), (5,)))": (lambda: RootedTree.from_nested(((1,), (5,))), _FORMS),
+    "RootedTree(5, ...)": (lambda: RootedTree(5, (0,), {}, {}, 0, {}), "flags must be a collection"),
+    "RootedTree(..., 5, ...)": (lambda: RootedTree((0,), 5, {}, {}, 0, {}), "vertices must be a collection"),
+    "RootedTree(..., [(0, 0)], ...)": (lambda: RootedTree((0,), (0,), [(0, 0)], {}, 0, {}),
+                                       "flag maps must be mappings"),
+    "RootedTree()": (lambda: RootedTree(), "flags must be a collection"),
+    # torifications and expressions
+    "DisjointUnion(5)": (lambda: DisjointUnion(5), "union parts must be expressions"),
+    "Product(None)": (lambda: Product(None), "product factors must be expressions"),
+    "Product([Torus(1), 1])": (lambda: Product([Torus(1), 1]), "product factors must be expressions"),
+    "Complement(5, Torus(0))": (lambda: Complement(5, Torus(0)), "ambient and removed must be expressions"),
+    "Complement(Torus(1), 'x')": (lambda: Complement(Torus(1), "x"), "ambient and removed must be expressions"),
+    "Complement(.., 5)": (lambda: Complement(Torus(1), Torus(0), 5),
+                          "assignment must be an iterable of ints or None"),
+    "atoms(5)": (lambda: atoms(5), "expr must be an expression"),
+    "eval_class(5)": (lambda: eval_class(5), "expr must be an expression"),
+    "product_torification(5, ct)": (lambda: product_torification(5, _CT), _CTS),
+    "product_torification(ct, 5)": (lambda: product_torification(_CT, 5), _CTS),
+    "equiv_shadow(ct, None)": (lambda: equiv_shadow(_CT, None, "weak"), _CTS),
+    "is_strongly_complemented(ct, 5)": (lambda: is_strongly_complemented(_CT, 5),
+                                        "selection must be an iterable of labels"),
+    # classes and series
+    "MotClass(5)": (lambda: MotClass(5), "coefficients must be an iterable of ints"),
+    "EGFSeries(5)": (lambda: EGFSeries(5), "coefficients must be an iterable of classes or ints"),
+    # blueprint
+    "SubsetIndex(5, 5)": (lambda: SubsetIndex(5, 5), "members must be an iterable of markings"),
+    "is_simplex(5, 5)": (lambda: is_simplex(5, 5), "sigma must be SubsetIndexes"),
+    "is_simplex([1], 5)": (lambda: is_simplex([1], 5), "sigma must be SubsetIndexes"),
+    "Monomial(5, 5)": (lambda: Monomial(5, 5), "exponents must be (index, power) pairs"),
+    "Monomial(5, [5])": (lambda: Monomial(5, [5]), "exponents must be (index, power) pairs"),
+    "Monomial(5, [(idx,)])": (lambda: Monomial(5, [(_IDX,)]), "exponents must be (index, power) pairs"),
+    "Monomial(5, [(idx, 1, 2)])": (lambda: Monomial(5, [(_IDX, 1, 2)]), "exponents must be (index, power) pairs"),
+    "Monomial(5, [(1, 2)])": (lambda: Monomial(5, [(1, 2)]), "exponent keys must be SubsetIndexes"),
+    "Monomial(5, {'a': 1})": (lambda: Monomial(5, {"a": 1}), "exponent keys must be SubsetIndexes"),
+    "Monomial * 5": (lambda: _MONO * 5, "factors must be Monomials"),
+    "BlueprintRel(5, [m])": (lambda: BlueprintRel(5, [_MONO]), "summands must be Monomials"),
+    "BlueprintRel([m], [1])": (lambda: BlueprintRel([_MONO], [1]), "summands must be Monomials"),
+    "CrossedElem(5, 5, perm)": (lambda: CrossedElem(5, 5, _PERM), "summands must be Monomials"),
+    "CrossedElem(5, ['x'], perm)": (lambda: CrossedElem(5, ["x"], _PERM), "summands must be Monomials"),
+    "crossed_mul(5, x)": (lambda: crossed_mul(5, _CROSSED), "factors must be CrossedElems"),
+    "crossed_mul(x, None)": (lambda: crossed_mul(_CROSSED, None), "factors must be CrossedElems"),
+    "crossed_relations(5, [])": (lambda: crossed_relations(5, []), _RELS),
+    "crossed_relations([], 5)": (lambda: crossed_relations([], 5), "group must be an iterable of permutations"),
+    "perm_action(perm, 5)": (lambda: perm_action(_PERM, 5), "mono must be a Monomial"),
+    "perm_relation(perm, m)": (lambda: perm_relation(_PERM, _MONO), _RELS),
+    "relation_triples(5)": (lambda: relation_triples(5), _RELS),
+    "clear_denominators(m)": (lambda: clear_denominators(_MONO), _RELS),
+    # JSON readers
+    "MotClass.from_json([])": (lambda: MotClass.from_json([]), _OBJECT),
+    "MotClass.from_json(coeffs 5)": (lambda: MotClass.from_json({"basis": "T", "coeffs": 5}),
+                                     "coeffs must be decimal strings"),
+    "MotClass.from_json(coeffs [None])": (lambda: MotClass.from_json({"basis": "T", "coeffs": [None]}),
+                                          "coeffs must be decimal strings"),
+    "RootedTree.from_json(5)": (lambda: RootedTree.from_json(5), _OBJECT),
+    "RootedTree.from_json('[]')": (lambda: RootedTree.from_json("[]"), _OBJECT),
+    "RootedTree.from_json(child 5)": (lambda: RootedTree.from_json({"inputs": [1], "children": [5]}), _OBJECT),
+    "RootedTree.from_json(inputs 5)": (lambda: RootedTree.from_json({"inputs": 5}), "inputs must be a list"),
+    "RootedTree.from_json(children 5)": (lambda: RootedTree.from_json({"inputs": [1], "children": 5}),
+                                         "children must be a list"),
+    "expr_from_json(5)": (lambda: expr_from_json(5), _OBJECT),
+    "expr_from_json(parts 5)": (lambda: expr_from_json({"op": "union", "parts": 5}), "parts must be a list"),
+    "expr_from_json(factors 5)": (lambda: expr_from_json({"op": "product", "factors": 5}), "factors must be a list"),
+    "expr_from_json(part 5)": (lambda: expr_from_json({"op": "union", "parts": [5]}), _OBJECT),
+}
+
+
+@pytest.mark.parametrize("call,message", list(_KINDS.values()), ids=list(_KINDS))
+def test_kind_table(call, message):
+    with pytest.raises(TypeError) as info:
+        call()
+    assert str(info.value) == message
+
+
+def _forged(value, slot, forged):
+    """The pickle of value with one slot replaced by forged, as a damaged file would hold it."""
+    object.__setattr__(value, slot, forged)
+    return pickle.dumps(value)
+
+
+@pytest.mark.parametrize("build,slot,message", [
+    (lambda: Monomial(5, [(_IDX, 1)]), "exps", "exponents must be (index, power) pairs"),
+    (lambda: DisjointUnion([Torus(0)]), "parts", "union parts must be expressions"),
+    (lambda: RootedTree.corolla((1, 2)), "_form", _FORMS),
+], ids=["Monomial", "DisjointUnion", "RootedTree"])
+def test_a_damaged_pickle_reports_the_kind(build, slot, message):
+    data = _forged(build(), slot, 5)
+    with pytest.raises(TypeError) as info:
+        pickle.loads(data)
+    assert str(info.value) == message
+
+
+# -- every export, called with junk -------------------------------------------
+
+_EXPORTS = sorted(name for name, value in vars(f1kit).items()
+                  if not name.startswith("_") and (inspect.isroutine(value) or inspect.isclass(value)))
+# Python's own phrasing for a wrong kind; f1kit states its own message instead
+_PYTHON_PHRASES = ("is not iterable", "has no attribute", "not subscriptable", "cannot unpack", "has no len()",
+                   "indices must be")
+_VALUES = [_X, _TREE, RootedTree.from_nested(((1,), (((2, 3), ()),))), Torus(1), Complement(Torus(2), Torus(1)), _CT,
+           _REL, _IDX, _MONO, _CROSSED, EGFSeries([1, 2]), StratumDescriptor(_TREE, 1)]
+# only the ints -1, 0 and 5, so that no junk asks for a heavy computation
+_JUNK = st.recursive(
+    st.none() | st.text(max_size=2) | st.floats() | st.booleans() | st.sampled_from([-1, 0, 5])
+    | st.sampled_from(_VALUES),
+    lambda inner: st.lists(inner, max_size=3).map(tuple) | st.dictionaries(st.text(max_size=1), inner, max_size=2),
+    max_leaves=5,
+)
+
+
+def _arity(name):
+    params = inspect.signature(getattr(f1kit, name)).parameters.values()
+    return len([p for p in params if p.kind == p.POSITIONAL_OR_KEYWORD and not p.name.startswith("_")])
+
+
+def test_every_export_is_fuzzed():
+    assert len(_EXPORTS) == 56
+
+
+@pytest.mark.parametrize("name", _EXPORTS)
+@settings(max_examples=12, deadline=None, database=None)
+@given(data=st.data())
+def test_junk_raises_only_f1kit_messages(name, data):
+    args = [data.draw(_JUNK, label="arg %d" % i) for i in range(_arity(name))]
+    try:
+        getattr(f1kit, name)(*args)
+    except (TypeError, ValueError) as exc:
+        assert not any(phrase in str(exc) for phrase in _PYTHON_PHRASES), (name, args, exc)
 
 
 def _plain(value):
@@ -257,21 +454,68 @@ def test_an_index_outside_the_range_keeps_its_answer():
             series.coeff(n)
 
 
+def _sources():
+    return {path.name: path.read_text() for path in Path(f1kit.__file__).parent.glob("*.py")}
+
+
 def test_integer_rule_is_stated_once():
     """No module restates the rule inline: each integer argument goes through _check_int."""
     inline = [
         # ... or x < low
         re.compile(r"isinstance\(\s*(\w+)\s*,\s*int\s*\)\s*or\s+(\w+)\s*<"),
-        # ... or not low <= x <= high, for literal bounds (a member bounded by another argument is not one)
-        re.compile(r"isinstance\(\s*(\w+)\s*,\s*int\s*\)\s*or\s+not\s+-?\d+\s*<=?\s*(\w+)\s*<=?\s*-?\d+\b"),
+        # ... or not low <= x <= high, or ... and low <= x <= high; a bound is a literal or another argument,
+        # as in 1 <= m <= n
+        re.compile(r"isinstance\(\s*(\w+)\s*,\s*int\s*\)\s*(?:or\s+not|and)\s+[-\w.]+\s*<=?\s*(\w+)\s*<=?\s*[-\w.]+"),
     ]
-    sources = {path.name: path.read_text() for path in Path(f1kit.__file__).parent.glob("*.py")}
+    # the rule's own message raised by hand, as a bound checked after _check_int would be (if g > 5: raise ...)
+    by_hand = re.compile(r'raise ValueError\(\s*"\w+ must be (?:an int|a positive int|a nonnegative int)')
+    sources = _sources()
     found = [
         "%s:%d: %s" % (name, text.count("\n", 0, m.start()) + 1, m.group(0))
         for name, text in sorted(sources.items())
-        for pattern in inline
+        for pattern in inline + [by_hand]
         for m in pattern.finditer(text)
-        if m.group(1) == m.group(2)
+        if pattern is by_hand or m.group(1) == m.group(2)
     ]
     assert found == []
     assert sum(text.count("def _check_int(") for text in sources.values()) == 1
+
+
+# the functions that raise their own TypeError, each for a reason the kind rule cannot state
+_OWN_TYPE_ERRORS = {
+    # the one statement of the rule
+    "motive._check_kind",
+    # an operand of +, - or * that is not a class or an int; the operator message names the operand
+    "motive._coerce",
+    # a coefficient that is not an int; its message names the bad value
+    "motive.MotClass.__init__",
+    # a document value the CLI's JSON writer cannot render: an internal error, never a caller's argument
+    "cli._render",
+}
+
+
+def _type_error_raisers(name, text):
+    """Qualified names of the functions of one module that raise TypeError(...) themselves."""
+    out = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, scope + [child.name])
+            elif (isinstance(child, ast.Raise) and isinstance(child.exc, ast.Call)
+                  and getattr(child.exc.func, "id", None) == "TypeError"):
+                out.append(".".join([name[:-3]] + scope))
+            else:
+                visit(child, scope)
+
+    visit(ast.parse(text), [])
+    return out
+
+
+def test_kind_rule_is_stated_once():
+    """Every wrong kind is refused through _check_kind; only the listed functions raise a TypeError of their own."""
+    sources = _sources()
+    raisers = [q for name, text in sorted(sources.items()) for q in _type_error_raisers(name, text)]
+    assert sorted(set(raisers)) == sorted(_OWN_TYPE_ERRORS)
+    assert raisers.count("motive._check_kind") == 1
+    assert sum(text.count("def _check_kind(") for text in sources.values()) == 1

@@ -140,9 +140,9 @@ class TestOracles:
 
     def test_not_an_expression(self):
         assert validate(3) == oracle_validate(3) == (False, ["$: not an expression"])
-        with pytest.raises(TypeError):
+        with pytest.raises(TypeError, match="^expr must be an expression$"):
             atoms(3)
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError, match="^expr must be an expression$"):
             eval_class(3)
 
 
