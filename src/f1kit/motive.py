@@ -60,6 +60,20 @@ def _check_kind(name, value, kind, what, each=False, size=None):
     raise TypeError("%s must be %s" % (name, what))
 
 
+class _Hashes(type):
+    # isinstance(x, _HASHABLE) asks hash(x): a tuple holding a list does not hash, though tuple has __hash__
+    def __instancecheck__(cls, value):
+        try:
+            hash(value)
+        except TypeError:
+            return False
+        return True
+
+
+# the kind of a label, flag id or key, for _check_kind
+_HASHABLE = _Hashes("_HASHABLE", (), {})
+
+
 def _json_key(obj, key):
     """obj[key], for a reader of f1kit's JSON: a node that is not an object raises TypeError, a missing key
     ValueError, which names it."""
@@ -302,7 +316,11 @@ class MotClass(_Frozen):
     def from_json(cls, obj):
         basis = _json_key(obj, "basis")
         coeffs = _check_kind("coeffs", _json_key(obj, "coeffs"), (str, int), "decimal strings", each=True)
-        return cls.from_coeffs([int(s) for s in coeffs], basis)
+        try:
+            coeffs = [int(s) for s in coeffs]
+        except ValueError:
+            raise ValueError("coeffs must be decimal strings") from None
+        return cls.from_coeffs(coeffs, basis)
 
 
 def _of_ints(coeffs):

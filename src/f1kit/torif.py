@@ -23,7 +23,7 @@ from itertools import product as iproduct
 from math import prod
 
 from .genseries import open_stratum_class
-from .motive import MotClass, _Frozen, _check_int, _check_kind, _json_key
+from .motive import MotClass, _Frozen, _HASHABLE, _check_int, _check_kind, _json_key
 
 
 class TorifExpr(_Frozen):
@@ -365,7 +365,7 @@ def _normalize_selection(ct, sub):
     if isinstance(sub, dict):
         sel = dict(sub)
     else:
-        sel = dict.fromkeys(_check_kind("selection", sub, object, "an iterable of labels", each=True))
+        sel = dict.fromkeys(_check_kind("selection", sub, _HASHABLE, "an iterable of labels", each=True))
     for label in sel:
         if label not in known:
             raise ValueError("selection names unknown piece %r" % (label,))

@@ -2,9 +2,10 @@
 
 A tree is its nested form: a vertex is a pair (inputs, children) of its
 input labels and the nested forms of its child subtrees.  The canonical
-form sorts the inputs by label and the children by their serialization, which
-is also the JSON form ``{"inputs": [...], "children": [...]}``; equality is
-isomorphism respecting the root and the input labels, decided by that form.
+form sorts the inputs by label and the children by their canonical strings,
+each built once from its children's in the walk that sorts them; the JSON
+form is ``{"inputs": [...], "children": [...]}``.  Equality is isomorphism
+respecting the root and the input labels, decided by the canonical string.
 Composition, forgetting a marking, relabeling, grafting, edge contraction
 and the strata all work on forms.
 
@@ -22,12 +23,11 @@ be shared freely.
 
 import json
 from collections.abc import Mapping
-from functools import lru_cache
 from itertools import combinations, product
 from math import comb, prod
 from types import MappingProxyType
 
-from .motive import MotClass, _Frozen, _check_int, _check_kind, _json_key, blowup_class, proj_class
+from .motive import MotClass, _Frozen, _HASHABLE, _check_int, _check_kind, _json_key, blowup_class, proj_class
 from .genseries import stratum_factor_class
 from .torif import _partitions
 
@@ -42,26 +42,32 @@ _FLAG_DATA = ("flags", "vertices", "boundary", "involution", "root_tail", "input
 
 
 class RootedTree(_Frozen):
-    # the form and its canonical views first, so a constructor fills just these three
-    __slots__ = ("_form", "_nested", "_canon") + _FLAG_DATA
+    # the form, then its (canonical string, canonical form) pair: the slots a constructor fills
+    __slots__ = ("_form", "_canon") + _FLAG_DATA
 
     def __init__(self, flags=None, vertices=None, boundary=None, involution=None, root_tail=None,
-                 input_labels=None, *, form=None, canonical=False):
-        """A tree from a nested form, or from flag data, which is checked and made a form.
+                 input_labels=None, *, _form=None, _canon=None):
+        """A tree from flag data, which is checked and made a form; from_nested builds one from a nested form.
 
-        ``RootedTree(form=f)`` stores f, whose labels must be distinct (see
-        from_nested); ``canonical=True`` says f is already canonical.
+        The keywords are f1kit's own, for forms it has already checked: ``_form`` is a nested form with
+        distinct labels, ``_canon`` the (canonical string, canonical form) pair of a tree built canonical.
         """
-        if form is None:
-            form = _form_of_flags(flags, vertices, boundary, involution, root_tail, input_labels)
-        self._fill(form, form if canonical else None, None)
+        if _canon is not None:
+            self._fill(_canon[1], _canon)
+        else:
+            if _form is None:
+                _form = _form_of_flags(flags, vertices, boundary, involution, root_tail, input_labels)
+            self._fill(_form)
 
     def __getattr__(self, name):
-        # reached only for a slot not yet set: the flag view of the form
-        if name not in _FLAG_DATA:
+        # reached only for a slot not yet set: the canonical pair or the flag view of the form
+        if name == "_canon":
+            self._keep(name, _canonical(self._form))
+        elif name in _FLAG_DATA:
+            for key, value in zip(_FLAG_DATA, _flag_view(self._form)):
+                self._keep(key, value)
+        else:
             raise AttributeError(name)
-        for key, value in zip(_FLAG_DATA, _flag_view(self._form)):
-            self._keep(key, value)
         return getattr(self, name)
 
     def __reduce__(self):
@@ -112,14 +118,10 @@ class RootedTree(_Frozen):
     # -- canonical form and serialization ----------------------------------
 
     def to_nested(self):
-        if self._nested is None:
-            self._keep("_nested", _canonical(self._form))
-        return self._nested
+        return self._canon[1]
 
     def canonical_str(self):
-        if self._canon is None:
-            self._keep("_canon", _canon_str(self.to_nested()))
-        return self._canon
+        return self._canon[0]
 
     # not _Frozen's: trees are equal up to isomorphism, by canonical string
     def __eq__(self, other):
@@ -135,7 +137,7 @@ class RootedTree(_Frozen):
 
     def renumbered(self):
         """Same tree with small consecutive internal labels."""
-        return RootedTree(form=self.to_nested(), canonical=True)
+        return RootedTree(_canon=self._canon)
 
     def to_json(self):
         def conv(form):
@@ -153,9 +155,10 @@ class RootedTree(_Frozen):
         except (TypeError, ValueError):
             labels = None  # some vertex is not an (inputs, children) pair of collections
         labels = _check_kind("nested forms", labels, list, "(inputs, children) pairs of collections")
-        if len(set(labels)) != len(labels):
+        # one hash of the tuple checks every label
+        if len(set(_check_kind("input labels", tuple(labels), _HASHABLE, "hashable"))) != len(labels):
             raise ValueError("input labels must biject onto the non-root tails")
-        return cls(form=form)
+        return cls(_form=form)
 
     @classmethod
     def from_json(cls, obj):
@@ -172,7 +175,8 @@ class RootedTree(_Frozen):
     @classmethod
     def corolla(cls, markings):
         """Single vertex with the given input labels."""
-        return cls.from_nested(_vertex(set(markings), ()))
+        markings = _check_kind("markings", markings, _HASHABLE, "an iterable of hashable labels", each=True)
+        return cls.from_nested(_vertex(set(markings), ())[1])
 
     @classmethod
     def unit(cls, label=1):
@@ -188,25 +192,22 @@ def _tree(value, name="trees"):
 # -- nested forms -------------------------------------------------------------
 
 
-# kept across calls: a compose and its result's canonical_str() share strings (operad ~10% faster);
-# bounded so a long-lived caller cannot grow it without limit (an operad batch fills < 300 entries)
-@lru_cache(maxsize=4096)
-def _canon_str(form):
-    inputs, subs = form
-    return "(%s|%s)" % (",".join(repr(m) for m in inputs), ";".join(_canon_str(c) for c in subs))
-
-
 def _vertex(inputs, subs):
-    """Canonical vertex: inputs sorted by label, canonical children by serialization."""
-    return (tuple(sorted(inputs, key=_label_key)), tuple(sorted(subs, key=_canon_str)))
+    """(canonical string, canonical form) of a vertex with these inputs and (string, form) pairs of children.
+
+    The inputs sort by label and the children by string: distinct labels make distinct strings.
+    """
+    inputs = tuple(sorted(inputs, key=_label_key))
+    texts, forms = zip(*sorted(subs)) if subs else ((), ())
+    return "(%s|%s)" % (",".join(map(repr, inputs)), ";".join(texts)), (inputs, forms)
 
 
 def _canonical(form, pi=None):
-    """Canonical form of a nested form, each label m renamed pi[m] if pi is given."""
+    """(canonical string, canonical form) of a nested form, each label m renamed pi[m] if pi is given."""
     inputs, subs = form
     if pi is not None:
         inputs = [pi[m] for m in inputs]
-    return _vertex(inputs, (_canonical(sub, pi) for sub in subs))
+    return _vertex(inputs, [_canonical(sub, pi) for sub in subs])
 
 
 def _labels(form):
@@ -273,10 +274,13 @@ def _form_of_flags(flags, vertices, boundary, involution, root_tail, input_label
     children in the order of ``boundary``, so the flag data of a tree gives
     back its form; ids are only hashed, never compared.
     """
-    flags = frozenset(_check_kind("flags", flags, object, "a collection", each=True))
-    vertices = frozenset(_check_kind("vertices", vertices, object, "a collection", each=True))
+    flags = frozenset(_check_kind("flags", flags, _HASHABLE, "a collection of hashable ids", each=True))
+    vertices = frozenset(_check_kind("vertices", vertices, _HASHABLE, "a collection of hashable ids", each=True))
     boundary, involution, input_labels = (
         dict(_check_kind("flag maps", m, Mapping, "mappings")) for m in (boundary, involution, input_labels))
+    _check_kind("flag map values", [*boundary.values(), *involution.values(), *input_labels.values()], _HASHABLE,
+                "hashable ids", each=True)
+    _check_kind("root tail", root_tail, _HASHABLE, "a hashable id")
 
     if set(involution) != flags or set(boundary) != flags:
         raise ValueError("boundary and involution must be defined exactly on the flags")
@@ -330,7 +334,7 @@ def graft(tau, sigma, input_flag):
 
 def _graft(tau, sigma, input_flag):
     tau, sigma = _tree(tau), _tree(sigma)
-    if input_flag not in sigma.flags:
+    if _check_kind("graft target flag", input_flag, _HASHABLE, "a hashable id") not in sigma.flags:
         raise ValueError("graft target flag is not a flag of the host tree")
     if input_flag == sigma.root_tail:
         raise ValueError("cannot graft into the root tail")
@@ -365,7 +369,7 @@ def _plugged(host, guests):
                 subs.append(guests[m]._form)
         return (tuple(m for m in node[0] if m not in guests), tuple(subs))
 
-    tree = RootedTree(form=plug(host._form))
+    tree = RootedTree(_form=plug(host._form))
     out = tree._out_flag
     return tree, tuple(frozenset((out[roots[m]], tree.involution[out[roots[m]]])) for m in guests)
 
@@ -376,7 +380,7 @@ def contract_edge(tau, edge):
     The child vertex is spliced into its mother: its inputs join hers and its
     children take its place, so later vertices move down one in preorder.
     """
-    tau, edge = _tree(tau), frozenset(_check_kind("edge", edge, object, "a pair of flags", each=True))
+    tau, edge = _tree(tau), frozenset(_check_kind("edge", edge, _HASHABLE, "a pair of flags", each=True))
     if len(edge) != 2:
         raise ValueError("an edge consists of two distinct flags")
     if not edge <= tau.flags:
@@ -400,7 +404,7 @@ def contract_edge(tau, edge):
                 subs.append(splice(sub))
         return (tuple(inputs), tuple(subs))
 
-    return RootedTree(form=splice(tau._form))
+    return RootedTree(_form=splice(tau._form))
 
 
 def _slots(tau, args):
@@ -441,13 +445,16 @@ def compose(tau, args):
     offset = 0
     for slot, a in zip(*_slots(tau, args)):
         old = sorted(a.markings, key=_label_key)
-        contents[slot] = _canonical(a._form, {o: offset + i + 1 for i, o in enumerate(old)})
+        pi = {o: offset + i + 1 for i, o in enumerate(old)}
+        inputs, subs = a._form
+        contents[slot] = [pi[m] for m in inputs], [_canonical(sub, pi) for sub in subs]
         offset += len(old)
-    return RootedTree(form=_substituted(tau._form, contents), canonical=True)
+    return RootedTree(_canon=_substituted(tau._form, contents))
 
 
 def _substituted(form, contents):
-    """Canonical form with each input m replaced by the root contents of contents[m]."""
+    """(canonical string, canonical form) of form with each input m replaced by contents[m], a pair of root
+    inputs and (string, form) pairs of children."""
     inputs, subs = [], [_substituted(sub, contents) for sub in form[1]]
     for m in form[0]:
         more_inputs, more_subs = contents[m]
@@ -462,11 +469,12 @@ def permute_markings(tau, pi):
     The vertex and flag ids stay those of tau.
     """
     tau, pi = _tree(tau), _check_kind("pi", pi, Mapping, "a mapping")
+    _check_kind("pi values", tuple(pi.values()), _HASHABLE, "hashable labels")
     if set(pi) != tau.markings:
         raise ValueError("permutation domain does not match the marking set")
     if len(set(pi.values())) != len(pi):
         raise ValueError("relabeling is not injective")
-    return RootedTree(form=_relabeled(tau._form, pi))
+    return RootedTree(_form=_relabeled(tau._form, pi))
 
 
 def _relabeled(form, pi):
@@ -482,17 +490,15 @@ def forget_marking(tau, s):
     destabilized root with a child is merged with it.  A single bare vertex
     is returned as is.
     """
-    if s not in _tree(tau).markings:
+    if _check_kind("marking", s, _HASHABLE, "a hashable label") not in _tree(tau).markings:
         raise ValueError("unknown marking %r" % (s,))
     inputs, subs = _spliced(tau._form, s)
-    if not inputs and len(subs) == 1:
-        inputs, subs = subs[0]
-    return RootedTree(form=(inputs, subs), canonical=True)
+    return RootedTree(_canon=subs[0] if not inputs and len(subs) == 1 else _vertex(inputs, subs))
 
 
 def _spliced(form, s):
-    """Canonical form without the label s, leaves first splicing every non-root
-    vertex left with fewer than two inputs and children into its mother."""
+    """Root inputs and canonical child pairs of form without the label s, leaves first splicing
+    every non-root vertex left with fewer than two inputs and children into its mother."""
     inputs = [m for m in form[0] if m != s]
     subs = []
     for sub in form[1]:
@@ -501,8 +507,8 @@ def _spliced(form, s):
             inputs += sub_inputs
             subs += sub_subs
         else:
-            subs.append((sub_inputs, sub_subs))
-    return _vertex(inputs, subs)
+            subs.append(_vertex(sub_inputs, sub_subs))
+    return inputs, subs
 
 
 # -- classes and point counts ----------------------------------------------
@@ -590,11 +596,7 @@ def _stable_forms(labels, table):
 
 def enumerate_stable_trees(n):
     """All stable rooted trees with inputs labeled 1..n, each exactly once."""
-    trees = []
-    for text, form in _stable_forms(tuple(range(1, _check_int("n", n, 2) + 1)), {}):
-        trees.append(RootedTree(form=form, canonical=True))
-        trees[-1]._keep("_canon", text)  # its canonical_str, built already
-    return trees
+    return [RootedTree(_canon=pair) for pair in _stable_forms(tuple(range(1, _check_int("n", n, 2) + 1)), {})]
 
 
 def strata_sum(d, n):

@@ -5,10 +5,14 @@ below the argument's floor with one ValueError, and a bool counts as its int:
 what an entry stores, keys or prints is a plain int.  An argument of the
 wrong kind (not a tree, not a collection, not a JSON object, ...) raises
 TypeError("<name> must be <kind>"), stated once by ``motive._check_kind``.
+Every other error path is reached here too, and every message a ``raise``
+in the sources states is pinned by some test.
 """
 
 import ast
+import contextlib
 import inspect
+import io
 import json
 import pickle
 import re
@@ -18,6 +22,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import f1kit
+from f1kit import cli, genseries, torif
 from f1kit.blueprint import (
     BlueprintRel,
     CrossedElem,
@@ -195,6 +200,13 @@ _ROWS += [
     pytest.param(lambda p: separation_monomial(5, p, (3, 4)), (1,), _PAIRS, id="separation_monomial(5, (1,), ..)"),
 ]
 
+# a coefficient string that int() does not read gets f1kit's message, not Python's "invalid literal"
+_ROWS += [
+    pytest.param(lambda c: MotClass.from_json({"basis": "T", "coeffs": ["1", c]}), c,
+                 "coeffs must be decimal strings", id="MotClass.from_json(coeffs %r)" % c)
+    for c in ("x", "1.5", "0x10")
+]
+
 @pytest.mark.parametrize("call,value,message", _ROWS)
 def test_message_table(call, value, message):
     with pytest.raises(ValueError) as info:
@@ -210,6 +222,9 @@ _RELS = "relations must be BlueprintRels"
 _CTS = "torifications must be ConstructibleTorifications"
 _OBJECT = "JSON node must be an object"
 _FORMS = "nested forms must be (inputs, children) pairs of collections"
+_IDS = "flags must be a collection of hashable ids"
+_VERTICES = "vertices must be a collection of hashable ids"
+_VALUES_IDS = "flag map values must be hashable ids"
 
 # a wrong kind, each refused with the entry's TypeError; every other argument of the call is valid
 _KINDS = {
@@ -233,11 +248,33 @@ _KINDS = {
     "from_nested(((1, 2),))": (lambda: RootedTree.from_nested(((1, 2),)), _FORMS),
     "from_nested((5, ()))": (lambda: RootedTree.from_nested((5, ())), _FORMS),
     "from_nested(((1,), (5,)))": (lambda: RootedTree.from_nested(((1,), (5,))), _FORMS),
-    "RootedTree(5, ...)": (lambda: RootedTree(5, (0,), {}, {}, 0, {}), "flags must be a collection"),
-    "RootedTree(..., 5, ...)": (lambda: RootedTree((0,), 5, {}, {}, 0, {}), "vertices must be a collection"),
+    "RootedTree(5, ...)": (lambda: RootedTree(5, (0,), {}, {}, 0, {}), _IDS),
+    "RootedTree(..., 5, ...)": (lambda: RootedTree((0,), 5, {}, {}, 0, {}), _VERTICES),
     "RootedTree(..., [(0, 0)], ...)": (lambda: RootedTree((0,), (0,), [(0, 0)], {}, 0, {}),
                                        "flag maps must be mappings"),
-    "RootedTree()": (lambda: RootedTree(), "flags must be a collection"),
+    "RootedTree()": (lambda: RootedTree(), _IDS),
+    # an unhashable label, flag id or key, also inside a tuple
+    "RootedTree([[0]], ...)": (lambda: RootedTree([[0]], (0,), {}, {}, 0, {}), _IDS),
+    "RootedTree(..., [([0],)], ...)": (lambda: RootedTree((0,), [([0],)], {}, {}, 0, {}), _VERTICES),
+    "RootedTree(boundary {0: []})": (lambda: RootedTree((0,), (0,), {0: []}, {0: 0}, 0, {}), _VALUES_IDS),
+    "RootedTree(involution {0: []})": (lambda: RootedTree((0,), (0,), {0: 0}, {0: []}, 0, {}), _VALUES_IDS),
+    "RootedTree(input_labels {1: {}})": (lambda: RootedTree((0,), (0,), {0: 0}, {0: 0}, 0, {1: {}}), _VALUES_IDS),
+    "RootedTree(root_tail [0])": (lambda: RootedTree((0,), (0,), {0: 0}, {0: 0}, [0], {}),
+                                  "root tail must be a hashable id"),
+    "from_nested(([[1]], ()))": (lambda: RootedTree.from_nested(([[1]], ())), "input labels must be hashable"),
+    "RootedTree.from_json(inputs [[1]])": (lambda: RootedTree.from_json({"inputs": [[1]]}),
+                                           "input labels must be hashable"),
+    "RootedTree.corolla(5)": (lambda: RootedTree.corolla(5), "markings must be an iterable of hashable labels"),
+    "RootedTree.corolla([[1]])": (lambda: RootedTree.corolla([[1]]), "markings must be an iterable of hashable labels"),
+    "RootedTree.unit([])": (lambda: RootedTree.unit([]), "markings must be an iterable of hashable labels"),
+    "forget_marking(t, [])": (lambda: forget_marking(_TREE, []), "marking must be a hashable label"),
+    "forget_marking(t, (1, []))": (lambda: forget_marking(_TREE, (1, [])), "marking must be a hashable label"),
+    "graft(t, t, {})": (lambda: graft(_TREE, _TREE, {}), "graft target flag must be a hashable id"),
+    "contract_edge(t, [[0], [1]])": (lambda: contract_edge(_TREE, [[0], [1]]), "edge must be a pair of flags"),
+    "permute_markings(t, {1: [], ...})": (lambda: permute_markings(_TREE, {1: [], 2: 2}),
+                                          "pi values must be hashable labels"),
+    "is_strongly_complemented(ct, [[1]])": (lambda: is_strongly_complemented(_CT, [[1]]),
+                                            "selection must be an iterable of labels"),
     # torifications and expressions
     "DisjointUnion(5)": (lambda: DisjointUnion(5), "union parts must be expressions"),
     "Product(None)": (lambda: Product(None), "product factors must be expressions"),
@@ -323,13 +360,143 @@ def test_a_damaged_pickle_reports_the_kind(build, slot, message):
     assert str(info.value) == message
 
 
+# -- every other error path ---------------------------------------------------
+
+
+def _patched(module, name, value, call):
+    """call() with module.name replaced by value: how an invariant guard is reached."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(module, name, value)
+        return call()
+
+
+def _cli(*argv):
+    """Exit status and stderr of one CLI run."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = cli.run(list(argv), stdout=io.BytesIO())
+    return code, err.getvalue()
+
+
+_TWO = RootedTree.from_nested(((1,), (((2, 3), ()),)))  # flag 2 is the root's end of its edge
+_FLAGS = (0, 1, 2)
+_STAR = {0: 0, 1: 0, 2: 0}  # every flag on vertex 0
+_ZERO = lambda *args: MotClass.zero()  # noqa: E731 -- a wrong class for any guard
+
+# each path that no other test reaches, or reaches without stating its message: the call and its exception, or
+# the value it returns
+_PATHS = {
+    # flag data
+    "RootedTree(boundary {})": (lambda: RootedTree((0,), (0,), {}, {0: 0}, 0, {}),
+                                ValueError("boundary and involution must be defined exactly on the flags")),
+    "RootedTree(involution 1 -> 2 -> 2)": (lambda: RootedTree(_FLAGS, (0,), _STAR, {0: 0, 1: 2, 2: 2}, 0, {}),
+                                           ValueError("involution must square to the identity")),
+    "RootedTree(boundary 0 -> 9)": (lambda: RootedTree((0,), (0,), {0: 9}, {0: 0}, 0, {}),
+                                    ValueError("boundary image must lie in the vertex set")),
+    "RootedTree(unlabeled tail)": (lambda: RootedTree((0, 1), (0,), {0: 0, 1: 0}, {0: 0, 1: 1}, 0, {}),
+                                   ValueError("input labels must biject onto the non-root tails")),
+    # two edges between vertices a and b close a cycle, and c is cut off
+    "RootedTree(cycle)": (lambda: RootedTree((0, 1, 2, 3, 4), "abc", {0: "a", 1: "a", 2: "b", 3: "b", 4: "a"},
+                                             {0: 0, 1: 2, 2: 1, 3: 4, 4: 3}, 0, {}),
+                          ValueError("flag data is not a tree (disconnected)")),
+    "RootedTree(root tail on an edge)": (lambda: RootedTree((0, 1), (0,), {0: 0, 1: 0}, {0: 1, 1: 0}, 0, {}),
+                                         ValueError("root tail must be an involution-fixed flag")),
+    "RootedTree(two vertices, no edge)": (lambda: RootedTree((0,), (0, 1), {0: 0}, {0: 0}, 0, {}),
+                                          ValueError("flag data is not a tree (vertex/edge count)")),
+    # tree operations
+    "graft(t, t, 99)": (lambda: graft(_TREE, _TREE, 99),
+                        ValueError("graft target flag is not a flag of the host tree")),
+    "graft(t, t, root tail)": (lambda: graft(_TREE, _TREE, 0), ValueError("cannot graft into the root tail")),
+    "graft(t, two-vertex tree, edge flag)": (lambda: graft(_TREE, _TWO, 2),
+                                             ValueError("graft target must be a tail, not an edge flag")),
+    "graft(t, t, 1)": (lambda: graft(_TREE, _TREE, 1),
+                       ValueError("marking labels collide; relabel before grafting")),
+    "contract_edge(t, two tails)": (lambda: contract_edge(_TREE, (1, 2)),
+                                    ValueError("flags are not matched by the involution (tails cannot be contracted)")),
+    "contract_edge(t, (1, 1))": (lambda: contract_edge(_TREE, (1, 1)),
+                                 ValueError("an edge consists of two distinct flags")),
+    "contract_edge(t, (98, 99))": (lambda: contract_edge(_TREE, (98, 99)),
+                                   ValueError("edge flags do not belong to the tree")),
+    "graft_all(t, [t, t])": (lambda: graft_all(_TREE, [_TREE, _TREE]), ValueError("argument marking labels collide")),
+    "permute_markings(t, {1: 1})": (lambda: permute_markings(_TREE, {1: 1}),
+                                    ValueError("permutation domain does not match the marking set")),
+    "permute_markings(t, {1: 3, 2: 3})": (lambda: permute_markings(_TREE, {1: 3, 2: 3}),
+                                          ValueError("relabeling is not injective")),
+    "forget_marking(t, 9)": (lambda: forget_marking(_TREE, 9), ValueError("unknown marking 9")),
+    "tree_class(unit, 1)": (lambda: tree_class(RootedTree.unit(), 1), ValueError("unstable tree")),
+    "torify_tree_curve(unit)": (lambda: torify_tree_curve(RootedTree.unit()), ValueError("unstable tree")),
+    "mother of the root": (lambda: _TREE.mother(_TREE.root_vertex), None),
+    # blueprint
+    "Monomial(6, [(index of 5, 1)])": (lambda: Monomial(6, [(_IDX, 1)]),
+                                       ValueError("exponent keys must be indices for the same n")),
+    "Monomial(5) * Monomial(6)": (lambda: _MONO * unit_monomial(6),
+                                  ValueError("cannot multiply monomials over different index sets")),
+    "CrossedElem(6, [Monomial(5)], perm)": (lambda: CrossedElem(6, [_MONO], (1, 2, 3, 4, 5, 6)),
+                                            ValueError("summands must live over the same index set")),
+    "embed_perm((1, 2, 3), 2)": (lambda: embed_perm((1, 2, 3), 2), ValueError("cannot embed into a smaller set")),
+    "CrossedElem(5, [], 5)": (lambda: CrossedElem(5, [], 5), ValueError("perm must be a permutation tuple of 1..n")),
+    "crossed_mul(n 5, n 6)": (lambda: crossed_mul(_CROSSED, crossed_identity(6)),
+                              ValueError("incompatible crossed-product carriers")),
+    "BlueprintRel([], [m])": (lambda: BlueprintRel([], [_MONO]), ValueError("both sides must be nonempty")),
+    # classes
+    "MotClass.from_coeffs(basis 'Q')": (lambda: MotClass.from_coeffs((1,), "Q"),
+                                        ValueError("basis must be 'T' or 'L'")),
+    "MotClass + 'x'": (lambda: MotClass.one() + "x", TypeError("cannot combine MotClass with 'x'")),
+    "Monomial.__eq__(5)": (lambda: _MONO.__eq__(5), NotImplemented),
+    "poincare of 0": (lambda: MotClass.zero().poincare(), ()),
+    # series and the kernel's read-offs, which check themselves
+    "EGFSeries([])": (lambda: EGFSeries([]), ValueError("series needs at least the t coefficient")),
+    "EGFSeries([2])": (lambda: EGFSeries([2]), ValueError("series must begin t + ...")),
+    "_unpack of an odd sum": (lambda: genseries._unpack(1, 0, 1, 1),
+                              AssertionError("the runs at X and -X do not split into nonnegative even and odd parts")),
+    "_interpolate([0, 1, 4])": (
+        lambda: genseries._interpolate([0, 1, 4]),
+        AssertionError("the values exceed the degree: their last difference is nonzero")),
+    # torifications
+    "Complement(.., [0, 0])": (lambda: Complement(Torus(1), Torus(0), [0, 0]),
+                               ValueError("assignment must cover every atom of the removed expression")),
+    "expr_from_json(op 'cube')": (lambda: expr_from_json({"op": "cube"}), ValueError("unknown expression op 'cube'")),
+    "ct.piece('nope')": (lambda: _CT.piece("nope"), KeyError("nope")),
+    "Torus.__eq__(5)": (lambda: Torus(1).__eq__(5), NotImplemented),
+    "ConstructibleTorification(twice 'a')": (lambda: ConstructibleTorification([("a", Torus(0)), ("a", Torus(1))]),
+                                             ValueError("piece labels must be distinct")),
+    "is_strongly_complemented(ct, ['nope'])": (lambda: is_strongly_complemented(_CT, ["nope"]),
+                                               ValueError("selection names unknown piece 'nope'")),
+    "blowup_decomposition(ct, part of a piece)": (lambda: blowup_decomposition(_CT, {"cell0:t0": Torus(0)}, 2),
+                                                  ValueError("center is not strongly complemented")),
+    "equiv_shadow(ct, ct, 'medium')": (lambda: equiv_shadow(_CT, _CT, "medium"),
+                                       ValueError("level must be 'strong' or 'weak'")),
+    # the CLI
+    "crossed --g 2 --n 4": (lambda: _cli("crossed", "--g", "2", "--n", "4"), (3, "error: need n >= 2g + 1 markings\n")),
+    "emit(.., 'xml')": (lambda: cli.emit({}, "xml"), ValueError("unknown format 'xml'")),
+    "emit of an object": (lambda: cli.emit({"a": object()}, "json"), TypeError("cannot render 'object' as JSON")),
+    # invariant guards, reached through a wrong class
+    "constructible_open_stratum, drifted": (
+        lambda: _patched(torif, "open_stratum_class", _ZERO, lambda: constructible_open_stratum(1, 4)),
+        AssertionError("stratum expression class drifted from the product formula")),
+    "strata, total disagrees": (
+        lambda: _patched(genseries, "tdn_class", _ZERO, lambda: _cli("strata", "--d", "1", "--n", "3")),
+        (4, "internal error: stratum total disagrees with the class recursion\n")),
+}
+
+
+@pytest.mark.parametrize("call,want", list(_PATHS.values()), ids=list(_PATHS))
+def test_error_path_table(call, want):
+    if isinstance(want, Exception):
+        with pytest.raises(type(want)) as info:
+            call()
+        assert type(info.value) is type(want) and str(info.value) == str(want)
+    else:
+        assert call() == want
+
+
 # -- every export, called with junk -------------------------------------------
 
 _EXPORTS = sorted(name for name, value in vars(f1kit).items()
                   if not name.startswith("_") and (inspect.isroutine(value) or inspect.isclass(value)))
 # Python's own phrasing for a wrong kind; f1kit states its own message instead
 _PYTHON_PHRASES = ("is not iterable", "has no attribute", "not subscriptable", "cannot unpack", "has no len()",
-                   "indices must be")
+                   "indices must be", "unhashable type", "invalid literal")
 _VALUES = [_X, _TREE, RootedTree.from_nested(((1,), (((2, 3), ()),))), Torus(1), Complement(Torus(2), Torus(1)), _CT,
            _REL, _IDX, _MONO, _CROSSED, EGFSeries([1, 2]), StratumDescriptor(_TREE, 1)]
 # only the ints -1, 0 and 5, so that no junk asks for a heavy computation
@@ -519,3 +686,24 @@ def test_kind_rule_is_stated_once():
     assert sorted(set(raisers)) == sorted(_OWN_TYPE_ERRORS)
     assert raisers.count("motive._check_kind") == 1
     assert sum(text.count("def _check_kind(") for text in sources.values()) == 1
+
+
+def _raised_literals(name, text):
+    """(line, literal) of each raise X("literal...") of one module, the literal cut at its first %."""
+    out = []
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call) and node.exc.args:
+            first = node.exc.args[0]
+            while isinstance(first, ast.BinOp):  # "..." % args, "..." + more
+                first = first.left
+            if isinstance(first, ast.Constant) and isinstance(first.value, str):
+                out.append(("%s:%d" % (name, node.lineno), first.value.split("%")[0]))
+    return out
+
+
+def test_every_raised_message_is_pinned():
+    """Each message a raise in src states, up to its first %, appears in some file under tests/."""
+    tests = "".join(path.read_text() for path in Path(__file__).parent.rglob("*.py"))
+    literals = [row for name, text in sorted(_sources().items()) for row in _raised_literals(name, text)]
+    assert len(literals) > 50  # the scan sees the raises
+    assert [where for where, literal in literals if literal not in tests] == []

@@ -1,11 +1,10 @@
 """Memos only where a request reuses them across calls.
 
 A request runs in a fresh process, so a process-wide memo pays only if one
-request reads it many times.  Two do: treeop._canon_str (a compose and its
-result's canonical_str() share strings; bounded, so a long-lived process
-cannot fill it without limit) and blueprint._TABLES (capped at n <= 12).
-Every other table lives for one call, as strata_table's classes of its
-in-degree profiles do.  README names the kept memos.
+request reads it many times.  One does: blueprint._TABLES (capped at
+n <= 12).  Every other table lives for one call, as strata_table's classes
+of its in-degree profiles do, and a tree carries its own canonical string.
+README names the kept memo.
 """
 
 import os
@@ -20,13 +19,13 @@ import f1kit
 
 _README = Path(__file__).resolve().parent.parent / "README.md"
 
-KEPT = {"blueprint.py:_TABLES", "treeop.py:_canon_str"}
+KEPT = {"blueprint.py:_TABLES"}
 
 _SOURCES = {path.name: path.read_text() for path in Path(f1kit.__file__).parent.glob("*.py")}
 
 
 def test_only_the_kept_memos_remain():
-    """Every lru_cache'd function and module-level dict table in src is one of the two kept."""
+    """Every lru_cache'd function and module-level dict table in src is one of the kept."""
     cached = re.compile(r"^@(?:functools\.)?(?:lru_cache|cache)\b.*\n(?:@.*\n)*def (\w+)", re.M)
     table = re.compile(r"^(\w+)\s*=\s*(?:\{\}|dict\(\))", re.M)
     found = {
@@ -70,27 +69,28 @@ def test_a_request_leaves_no_objects_behind(request_):
 
 
 _COMPOSES = """
-import random
+import gc, random
 from f1kit import compose, enumerate_stable_trees
-from f1kit.treeop import _canon_str
+
+def tracked():
+    gc.collect()
+    return len(gc.get_objects())
 
 rng = random.Random(0)
 hosts, guests = enumerate_stable_trees(3), enumerate_stable_trees(4)
+before = tracked()
 for _ in range(10000):
     host = rng.choice(hosts)
     compose(host, [rng.choice(guests) for _ in range(host.input_count())]).canonical_str()
-info = _canon_str.cache_info()
-print(info.misses, info.maxsize, info.currsize)
+print(tracked() - before)
 """
 
 
-def test_canon_str_stays_bounded():
-    # in a fresh process, so no earlier test has filled or cleared the memo
+def test_many_composes_leave_no_objects_behind():
+    # in a fresh process; 10,000 composes make thousands of distinct strings, which a process-wide memo would keep
     env = dict(os.environ, PYTHONPATH=str(Path(f1kit.__file__).parent.parent))
     out = subprocess.run([sys.executable, "-c", _COMPOSES], capture_output=True, env=env, check=True, text=True)
-    misses, maxsize, currsize = out.stdout.split()
-    assert maxsize != "None"
-    assert int(misses) > int(maxsize) >= int(currsize)
+    assert int(out.stdout) < 100
 
 
 _NEW_DS = """

@@ -1,5 +1,6 @@
 import copy
 import hashlib
+import inspect
 import json
 import pickle
 from itertools import combinations, permutations, product
@@ -10,11 +11,17 @@ from hypothesis import example, given, settings, strategies as st
 from f1kit import treeop
 from f1kit.genseries import stratum_factor_class, tdn_class
 from f1kit.motive import MotClass, proj_class
-from f1kit.torif import torify_tree_curve
+from f1kit.torif import (
+    ConstructibleTorification,
+    DisjointUnion,
+    Product,
+    constructible_open_stratum,
+    torify_proj_space,
+    torify_tree_curve,
+)
 from f1kit.treeop import (
     RootedTree,
     StratumDescriptor,
-    _canon_str,
     _canonical,
     _graft,
     _label_key,
@@ -31,6 +38,12 @@ from f1kit.treeop import (
     tree_class,
     tree_points,
 )
+
+
+def _canon_str(form):
+    """The serialization of a canonical form, written out on its own: the oracle for the strings trees carry."""
+    inputs, subs = form
+    return "(%s|%s)" % (",".join(repr(m) for m in inputs), ";".join(_canon_str(c) for c in subs))
 
 
 def _edge_label_sets(form):
@@ -561,7 +574,7 @@ class TestFlagOracles:
     def test_enumerated_forms_are_canonical(self):
         for n in range(2, 7):
             for text, form in _stable_forms(tuple(range(1, n + 1)), {}):
-                assert _canonical(form) == form
+                assert _canonical(form) == (text, form)
                 assert text == _canon_str(form)
 
     def test_enumerated_strings_and_order_match_the_serialization(self):
@@ -571,6 +584,21 @@ class TestFlagOracles:
             assert [t.canonical_str() for t in trees] == [_canon_str(t.to_nested()) for t in trees]
             forms = [t.to_nested() for t in trees]
             assert forms == sorted(forms, key=_canon_str)
+
+    def test_built_strings_match_the_serialization(self):
+        # compose, forget_marking and renumbered hand over the (string, form) pair they built
+        trees = enumerate_stable_trees(3)
+        for host in trees:
+            for guest in trees:
+                tree = compose(host, [guest, RootedTree.unit(), guest])
+                for t in [tree, tree.renumbered()] + [forget_marking(tree, m) for m in sorted(tree.markings)]:
+                    assert t.canonical_str() == _canon_str(t.to_nested())
+                    assert _canonical(t._form) == (t.canonical_str(), t.to_nested())
+
+    def test_a_form_comes_in_only_through_from_nested(self):
+        assert not {"form", "canonical"} & set(inspect.signature(RootedTree).parameters)
+        assert [slot for slot in RootedTree.__slots__ if "canon" in slot or "nested" in slot] == ["_canon"]
+        assert RootedTree.from_nested(((2, 1), ())) == RootedTree.from_nested(((1, 2), ()))
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_stratum_class_is_product_over_vertices(self, d):
@@ -819,6 +847,41 @@ class TestStrataSum:
             for S in combinations(range(1, n + 1), k)
         }
         assert got == want
+
+    @pytest.mark.parametrize("d,n", [(1, 6), (2, 6), (3, 5)])
+    def test_the_strata_torify_the_whole_space(self, d, n):
+        # one piece per stable tree: the product over its vertices of the open stratum of the vertex's in-degree,
+        # times the P^(d-1) of directions for d > 1; the pieces sum to T_{d,n} with a nonnegative class, the
+        # descent datum to F_1 of the paper
+        directions = DisjointUnion(expr for _, expr in torify_proj_space(d - 1).pieces)
+        factors = {}
+        for k in range(2, n + 1):
+            (_, open_part), = constructible_open_stratum(d, k).pieces
+            factors[k] = open_part if d == 1 else Product([directions, open_part])
+        pieces = [
+            (tree.canonical_str(), Product([factors[k] for k in treeop._in_degrees(tree._form)]))
+            for tree in enumerate_stable_trees(n)
+        ]
+        ct = ConstructibleTorification(pieces)
+        assert ct.total_class == tdn_class(d, n)
+        assert ct.is_f1_constructible()
+
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_graft_realizes_each_boundary_divisor(self, n):
+        # grafting a guest tree on S into the tail x of a host tree on the other labels and x gives the strata
+        # with an edge that has exactly S below it, each once: the composition map onto the divisor D_S
+        x = 0
+        shapes = {k: enumerate_stable_trees(k) for k in range(2, n)}
+        below = {tree.canonical_str(): _edge_label_sets(tree._form) for tree in enumerate_stable_trees(n)}
+
+        def on(labels):
+            return [permute_markings(t, dict(zip(range(1, len(labels) + 1), labels))) for t in shapes[len(labels)]]
+
+        for k in range(2, n):
+            for S in combinations(range(1, n + 1), k):
+                hosts = on([x] + [m for m in range(1, n + 1) if m not in S])
+                got = [graft(guest, host, host.input_labels[x]).canonical_str() for guest in on(S) for host in hosts]
+                assert sorted(got) == sorted(text for text, sets in below.items() if frozenset(S) in sets)
 
     def test_table_checks_n_then_d_before_enumerating(self, monkeypatch):
         calls = []
